@@ -94,4 +94,70 @@ Result<CsrGraph> BuildSymmetric(int64_t num_vertices, const EdgeList& edges) {
   return CsrGraph::FromEdges(num_vertices, sym);
 }
 
+Result<CsrGraph> PatchConversion(const CsrGraph& converted,
+                                 const EdgeList& new_edges,
+                                 const GraphDelta& delta, bool directed) {
+  if (delta.num_new_vertices < 0) {
+    return Status::InvalidArgument("num_new_vertices must be >= 0");
+  }
+  const int64_t n = converted.NumVertices() + delta.num_new_vertices;
+  SPINNER_RETURN_IF_ERROR(ValidateRange(n, delta.added_edges));
+  SPINNER_RETURN_IF_ERROR(ValidateRange(n, delta.removed_edges));
+
+  // The canonical (lo, hi) pairs the delta touches; no other pair's
+  // arcs can differ between the old and the new conversion.
+  EdgeList pairs;
+  pairs.reserve(delta.added_edges.size() + delta.removed_edges.size());
+  for (const EdgeList* list : {&delta.added_edges, &delta.removed_edges}) {
+    for (const Edge& e : *list) {
+      if (e.src == e.dst) continue;  // self-loops never reach the CSR
+      pairs.push_back({std::min(e.src, e.dst), std::max(e.src, e.dst)});
+    }
+  }
+  SortAndDedup(&pairs);
+
+  // One scan of the new edge list recovers each touched pair's state:
+  // bit 0 = lo->hi present, bit 1 = hi->lo present. Undirected lists set
+  // bit 0 for either orientation. A byte map of touched vertices skips,
+  // with two loads and no branch between them, every edge that cannot be
+  // a touched pair.
+  std::vector<uint8_t> dir(pairs.size(), 0);
+  if (!pairs.empty()) {
+    std::vector<uint8_t> touched(static_cast<size_t>(n), 0);
+    for (const Edge& p : pairs) {
+      touched[p.src] = 1;
+      touched[p.dst] = 1;
+    }
+    const auto un = static_cast<uint64_t>(n);
+    for (const Edge& e : new_edges) {
+      if (static_cast<uint64_t>(e.src) >= un ||
+          static_cast<uint64_t>(e.dst) >= un) {
+        return Status::InvalidArgument(
+            StrFormat("edge endpoint out of range [0,%lld)",
+                      static_cast<long long>(n)));
+      }
+      if ((touched[e.src] & touched[e.dst]) == 0 || e.src == e.dst) continue;
+      const Edge key{std::min(e.src, e.dst), std::max(e.src, e.dst)};
+      const auto it = std::lower_bound(pairs.begin(), pairs.end(), key);
+      if (it == pairs.end() || *it != key) continue;
+      dir[it - pairs.begin()] |= (directed && e.src > e.dst) ? 2 : 1;
+    }
+  }
+
+  // Both arcs of every touched pair are rewritten: weight 2 when both
+  // directions are present (Eq. 3), 1 for one, 0 (dropped) for none.
+  std::vector<CsrGraph::ArcPatch> patches;
+  patches.reserve(2 * pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const EdgeWeight w = dir[i] == 3 ? 2u : (dir[i] != 0 ? 1u : 0u);
+    patches.push_back({pairs[i].src, pairs[i].dst, w});
+    patches.push_back({pairs[i].dst, pairs[i].src, w});
+  }
+  std::sort(patches.begin(), patches.end(),
+            [](const CsrGraph::ArcPatch& a, const CsrGraph::ArcPatch& b) {
+              return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+            });
+  return converted.PatchArcs(n, patches);
+}
+
 }  // namespace spinner

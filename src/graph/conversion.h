@@ -15,6 +15,7 @@
 
 #include "common/result.h"
 #include "graph/csr_graph.h"
+#include "graph/delta.h"
 #include "graph/types.h"
 
 namespace spinner {
@@ -29,6 +30,21 @@ Result<CsrGraph> ConvertToWeightedUndirected(int64_t num_vertices,
 /// Builds the symmetric weight-1 CSR form of an undirected edge list (each
 /// edge listed once). Self-loops and duplicates are dropped.
 Result<CsrGraph> BuildSymmetric(int64_t num_vertices, const EdgeList& edges);
+
+/// The incremental form of both conversions, for a graph that changes by
+/// deltas. `converted` must be the conversion (ConvertToWeightedUndirected
+/// if `directed`, else BuildSymmetric) of some edge list E, and
+/// `new_edges` must be ApplyDelta(converted.NumVertices(), E, delta).
+/// Returns exactly the conversion of `new_edges` over the grown vertex
+/// range. Only the pairs `delta` touches can change, so this makes one
+/// scan over `new_edges` filtered by a map of touched vertices to recover
+/// each touched pair's state — present or not (undirected), which
+/// directions (directed, so weights 1 and 2 stay right) — and then one
+/// CsrGraph::PatchArcs row merge. Cost: a sort of the delta, the scan and
+/// one copy of the arcs.
+Result<CsrGraph> PatchConversion(const CsrGraph& converted,
+                                 const EdgeList& new_edges,
+                                 const GraphDelta& delta, bool directed);
 
 }  // namespace spinner
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <tuple>
 
 #include "common/string_util.h"
 
@@ -69,6 +70,97 @@ Result<CsrGraph> CsrGraph::FromEdges(int64_t num_vertices,
     g.weighted_degree_[v] = wd;
     g.total_arc_weight_ += wd;
   }
+  return g;
+}
+
+Result<CsrGraph> CsrGraph::PatchArcs(int64_t num_vertices,
+                                     std::span<const ArcPatch> patches) const {
+  if (num_vertices < num_vertices_) {
+    return Status::InvalidArgument(StrFormat(
+        "cannot patch a %lld-vertex graph down to %lld vertices",
+        static_cast<long long>(num_vertices_),
+        static_cast<long long>(num_vertices)));
+  }
+  for (size_t j = 0; j < patches.size(); ++j) {
+    const ArcPatch& p = patches[j];
+    if (p.src < 0 || p.src >= num_vertices || p.dst < 0 ||
+        p.dst >= num_vertices) {
+      return Status::InvalidArgument(
+          StrFormat("patch arc (%lld,%lld) out of range [0,%lld)",
+                    static_cast<long long>(p.src),
+                    static_cast<long long>(p.dst),
+                    static_cast<long long>(num_vertices)));
+    }
+    if (j > 0 && std::tie(patches[j - 1].src, patches[j - 1].dst) >=
+                     std::tie(p.src, p.dst)) {
+      return Status::InvalidArgument(
+          "patches must be sorted by (src, dst) without repeats");
+    }
+  }
+
+  // The arc arrays are reserved, not resized, so each byte is written
+  // once: by a block copy or by the row merge.
+  CsrGraph g;
+  g.num_vertices_ = num_vertices;
+  g.total_arc_weight_ = total_arc_weight_;
+  g.offsets_.resize(num_vertices + 1);
+  g.weighted_degree_.resize(num_vertices);  // grown vertices: degree 0
+  g.targets_.reserve(targets_.size() + patches.size());
+  g.weights_.reserve(weights_.size() + patches.size());
+  auto emit = [&g](VertexId target, EdgeWeight weight) {
+    g.targets_.push_back(target);
+    g.weights_.push_back(weight);
+  };
+  size_t j = 0;
+  VertexId v = 0;
+  while (v < num_vertices) {
+    const VertexId next = j < patches.size() ? patches[j].src : num_vertices;
+    // Rows [v, next) take no patch: copy the old ones as one block; the
+    // grown vertices among them get empty rows.
+    const VertexId copy_end = std::min(next, num_vertices_);
+    if (v < copy_end) {
+      const int64_t lo = offsets_[v];
+      const int64_t hi = offsets_[copy_end];
+      const int64_t shift = static_cast<int64_t>(g.targets_.size()) - lo;
+      g.targets_.insert(g.targets_.end(), targets_.begin() + lo,
+                        targets_.begin() + hi);
+      g.weights_.insert(g.weights_.end(), weights_.begin() + lo,
+                        weights_.begin() + hi);
+      std::copy(weighted_degree_.begin() + v,
+                weighted_degree_.begin() + copy_end,
+                g.weighted_degree_.begin() + v);
+      for (; v < copy_end; ++v) g.offsets_[v] = offsets_[v] + shift;
+    }
+    for (; v < next; ++v) {
+      g.offsets_[v] = static_cast<int64_t>(g.targets_.size());
+    }
+    if (v == num_vertices) break;
+
+    // Row v: merge its old arcs (sorted by target) with its patches.
+    g.offsets_[v] = static_cast<int64_t>(g.targets_.size());
+    int64_t i = v < num_vertices_ ? offsets_[v] : 0;
+    const int64_t row_end = v < num_vertices_ ? offsets_[v + 1] : 0;
+    int64_t wd = 0;
+    while (i < row_end || (j < patches.size() && patches[j].src == v)) {
+      const bool patch_next = j < patches.size() && patches[j].src == v &&
+                              (i == row_end || patches[j].dst <= targets_[i]);
+      if (!patch_next) {
+        emit(targets_[i], weights_[i]);
+        wd += weights_[i++];
+        continue;
+      }
+      const ArcPatch& p = patches[j++];
+      while (i < row_end && targets_[i] == p.dst) ++i;  // replaced
+      if (p.weight == 0) continue;
+      emit(p.dst, p.weight);
+      wd += p.weight;
+    }
+    if (v < num_vertices_) g.total_arc_weight_ -= weighted_degree_[v];
+    g.total_arc_weight_ += wd;
+    g.weighted_degree_[v] = wd;
+    ++v;
+  }
+  g.offsets_[num_vertices] = static_cast<int64_t>(g.targets_.size());
   return g;
 }
 

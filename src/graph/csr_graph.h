@@ -31,6 +31,26 @@ class CsrGraph {
                                     const EdgeList& edges,
                                     std::span<const EdgeWeight> weights = {});
 
+  /// One arc replacement for PatchArcs: every arc src→dst is replaced by
+  /// a single arc of `weight`, or dropped when `weight` is 0.
+  struct ArcPatch {
+    VertexId src = 0;
+    VertexId dst = 0;
+    EdgeWeight weight = 0;
+  };
+
+  /// Returns a copy of this graph grown to `num_vertices` (the new
+  /// vertices start with no arcs) with `patches` applied. `patches` must
+  /// be sorted by (src, dst) without repeats. Rows no patch touches are
+  /// block-copied and patched rows are merged, so the cost is one copy of
+  /// the arcs plus the patches — no sort. Fails with InvalidArgument if
+  /// the graph would shrink or a patch is out of range or out of order.
+  Result<CsrGraph> PatchArcs(int64_t num_vertices,
+                             std::span<const ArcPatch> patches) const;
+
+  /// Same vertex count, arcs, weights and cached degrees.
+  friend bool operator==(const CsrGraph&, const CsrGraph&) = default;
+
   /// Number of vertices n.
   int64_t NumVertices() const { return num_vertices_; }
 
@@ -64,6 +84,11 @@ class CsrGraph {
   /// Offset of v's first arc in the arc arrays; arcs of v occupy
   /// [ArcBegin(v), ArcBegin(v) + OutDegree(v)).
   int64_t ArcBegin(VertexId v) const { return offsets_[v]; }
+
+  /// The arc arrays themselves, every row back to back in vertex order:
+  /// a vertex range's arcs are one contiguous slice.
+  std::span<const VertexId> ArcTargets() const { return targets_; }
+  std::span<const EdgeWeight> ArcWeights() const { return weights_; }
 
   /// True iff for every arc (u,v,w) the reverse arc (v,u,w) exists.
   bool IsSymmetric() const;

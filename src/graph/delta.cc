@@ -1,6 +1,8 @@
 #include "graph/delta.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,43 +13,48 @@
 namespace spinner {
 
 namespace {
-/// Exact-match key: (u,v) and (v,u) stay distinct, like ApplyDelta removal.
-uint64_t EdgeKey(const Edge& e) {
-  return (static_cast<uint64_t>(e.src) << 32) ^
-         static_cast<uint64_t>(e.dst) * 0x9E3779B97F4A7C15ull;
-}
+/// Hashes an edge by its full (src,dst) pair; the maps below compare keys
+/// with Edge equality, so (u,v) and (v,u) stay distinct, like ApplyDelta
+/// removal, and no two ids share a key whatever their width.
+struct EdgeHash {
+  size_t operator()(const Edge& e) const {
+    return std::hash<uint64_t>{}(
+        static_cast<uint64_t>(e.src) * 0x9E3779B97F4A7C15ull ^
+        static_cast<uint64_t>(e.dst));
+  }
+};
+using EdgeCounts = std::unordered_map<Edge, int64_t, EdgeHash>;
 }  // namespace
 
 GraphDelta& GraphDelta::Coalesce() {
   // Pass 1: dedupe adds, first occurrence wins (deterministic order).
-  std::unordered_map<uint64_t, int64_t> add_count;
+  EdgeCounts add_count;
   add_count.reserve(added_edges.size() * 2);
   EdgeList deduped;
   deduped.reserve(added_edges.size());
   for (const Edge& e : added_edges) {
-    if (add_count[EdgeKey(e)]++ == 0) deduped.push_back(e);
+    if (add_count[e]++ == 0) deduped.push_back(e);
   }
 
   // Pass 2: each surviving add cancels at most one matching remove.
-  std::unordered_map<uint64_t, int64_t> cancel;
+  EdgeCounts cancel;
   cancel.reserve(removed_edges.size() * 2);
   for (const Edge& e : removed_edges) {
-    const uint64_t key = EdgeKey(e);
-    auto it = add_count.find(key);
+    auto it = add_count.find(e);
     if (it != add_count.end() && it->second > 0) {
       it->second = 0;  // the (deduped) add is consumed
-      ++cancel[key];
+      ++cancel[e];
     }
   }
 
   added_edges.clear();
   for (const Edge& e : deduped) {
-    if (add_count[EdgeKey(e)] > 0) added_edges.push_back(e);
+    if (add_count[e] > 0) added_edges.push_back(e);
   }
   EdgeList kept_removed;
   kept_removed.reserve(removed_edges.size());
   for (const Edge& e : removed_edges) {
-    auto it = cancel.find(EdgeKey(e));
+    auto it = cancel.find(e);
     if (it != cancel.end() && it->second > 0) {
       --it->second;  // cancelled against an in-delta add
       continue;
@@ -70,29 +77,52 @@ Result<EdgeList> ApplyDelta(int64_t num_vertices, const EdgeList& edges,
         static_cast<long long>(new_n)));
   }
 
-  EdgeList result = edges;
-  if (!delta.removed_edges.empty()) {
+  // With removals the output is the surviving edges in sorted order, then
+  // the adds. So an edge list this fold produced is a sorted prefix plus
+  // the adds appended since its last removal. Sorting that tail and
+  // splicing it and the removals into the prefix yields the fully sorted
+  // survivors with bulk copies of the prefix between splice points: the
+  // sorts cover the delta and the tail, never the whole graph.
+  EdgeList result;
+  result.reserve(edges.size() + delta.added_edges.size());
+  if (delta.removed_edges.empty()) {
+    result.assign(edges.begin(), edges.end());
+  } else {
     // Multiset-style removal: each removed edge cancels one occurrence.
     EdgeList to_remove = delta.removed_edges;
     std::sort(to_remove.begin(), to_remove.end());
-    std::sort(result.begin(), result.end());
-    EdgeList kept;
-    kept.reserve(result.size());
-    size_t r = 0;
-    for (const Edge& e : result) {
-      if (r < to_remove.size() && to_remove[r] == e) {
-        ++r;  // cancelled
-        continue;
+    const auto prefix_end = std::is_sorted_until(edges.begin(), edges.end());
+    EdgeList tail(prefix_end, edges.end());
+    std::sort(tail.begin(), tail.end());
+    // Equal edges are interchangeable, so a removal first cancels a tail
+    // copy; the remaining removals must come out of the prefix.
+    EdgeList inserts, deletes;
+    std::set_difference(tail.begin(), tail.end(), to_remove.begin(),
+                        to_remove.end(), std::back_inserter(inserts));
+    std::set_difference(to_remove.begin(), to_remove.end(), tail.begin(),
+                        tail.end(), std::back_inserter(deletes));
+    auto from = edges.begin();
+    auto ins = inserts.cbegin();
+    auto del = deletes.cbegin();
+    while (ins != inserts.cend() || del != deletes.cend()) {
+      const bool insert_next =
+          del == deletes.cend() || (ins != inserts.cend() && *ins < *del);
+      const Edge x = insert_next ? *ins++ : *del++;
+      const auto at = std::lower_bound(from, prefix_end, x);
+      result.insert(result.end(), from, at);
+      from = at;
+      if (insert_next) {
+        result.push_back(x);
+      } else if (at != prefix_end && *at == x) {
+        ++from;  // cancelled
+      } else {
+        return Status::InvalidArgument(
+            StrFormat("removed edge (%lld,%lld) not present",
+                      static_cast<long long>(x.src),
+                      static_cast<long long>(x.dst)));
       }
-      kept.push_back(e);
     }
-    if (r != to_remove.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "removed edge (%lld,%lld) not present",
-          static_cast<long long>(to_remove[r].src),
-          static_cast<long long>(to_remove[r].dst)));
-    }
-    result = std::move(kept);
+    result.insert(result.end(), from, prefix_end);
   }
   result.insert(result.end(), delta.added_edges.begin(),
                 delta.added_edges.end());
@@ -102,11 +132,9 @@ Result<EdgeList> ApplyDelta(int64_t num_vertices, const EdgeList& edges,
 GraphDelta RandomEdgeAdditions(int64_t num_vertices, const EdgeList& existing,
                                int64_t num_edges, uint64_t seed) {
   auto key = [](VertexId a, VertexId b) {
-    const auto lo = static_cast<uint64_t>(std::min(a, b));
-    const auto hi = static_cast<uint64_t>(std::max(a, b));
-    return (hi << 32) | lo;
+    return Edge{std::min(a, b), std::max(a, b)};
   };
-  std::unordered_set<uint64_t> present;
+  std::unordered_set<Edge, EdgeHash> present;
   present.reserve(existing.size() * 2);
   for (const Edge& e : existing) present.insert(key(e.src, e.dst));
 

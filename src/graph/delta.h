@@ -59,6 +59,13 @@ struct GraphDelta {
 /// Applies `delta` to (num_vertices, edges): appends vertices, removes then
 /// adds edges. Fails if an added edge references a vertex outside the grown
 /// range or a removed edge does not exist.
+///
+/// The output order is fixed: without removals it is `edges` then the
+/// adds; with removals it is the surviving edges sorted, then the adds.
+/// Feeding the output back in (a session applying window after window)
+/// keeps `edges` a sorted prefix plus a short unsorted tail, so a removal
+/// costs a sort of the delta and of that tail plus one merge pass over
+/// `edges` — never a sort of the whole list.
 Result<EdgeList> ApplyDelta(int64_t num_vertices, const EdgeList& edges,
                             const GraphDelta& delta);
 

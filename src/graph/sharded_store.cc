@@ -41,23 +41,22 @@ void ShardedGraphStore::FillShard(const CsrGraph& converted, int s) {
   const int64_t n_local = shard.NumOwnedVertices();
   shard.offsets.assign(static_cast<size_t>(n_local) + 1, 0);
   shard.weighted_degree.assign(static_cast<size_t>(n_local), 0);
-  int64_t arcs = 0;
-  for (VertexId v = shard.begin; v < shard.end; ++v) {
-    arcs += converted.OutDegree(v);
-  }
   shard.targets.clear();
   shard.weights.clear();
-  shard.targets.reserve(static_cast<size_t>(arcs));
-  shard.weights.reserve(static_cast<size_t>(arcs));
-  for (VertexId v = shard.begin; v < shard.end; ++v) {
-    const auto neighbors = converted.Neighbors(v);
-    const auto weights = converted.Weights(v);
-    shard.targets.insert(shard.targets.end(), neighbors.begin(),
-                         neighbors.end());
-    shard.weights.insert(shard.weights.end(), weights.begin(), weights.end());
-    shard.offsets[v - shard.begin + 1] =
-        static_cast<int64_t>(shard.targets.size());
-    shard.weighted_degree[v - shard.begin] = converted.WeightedDegree(v);
+  if (n_local > 0) {
+    // The owned rows are one contiguous slice of the converted arc arrays.
+    const int64_t lo = converted.ArcBegin(shard.begin);
+    const int64_t hi = converted.ArcBegin(shard.end - 1) +
+                       converted.OutDegree(shard.end - 1);
+    const auto targets = converted.ArcTargets().subspan(lo, hi - lo);
+    const auto weights = converted.ArcWeights().subspan(lo, hi - lo);
+    shard.targets.assign(targets.begin(), targets.end());
+    shard.weights.assign(weights.begin(), weights.end());
+    for (VertexId v = shard.begin; v < shard.end; ++v) {
+      shard.offsets[v - shard.begin + 1] =
+          converted.ArcBegin(v) + converted.OutDegree(v) - lo;
+      shard.weighted_degree[v - shard.begin] = converted.WeightedDegree(v);
+    }
   }
   shard.RebuildInvDegrees();
 }
@@ -99,6 +98,13 @@ std::vector<int64_t> ShardedGraphStore::MergedLoads() const {
 
 Status ShardedGraphStore::Update(const CsrGraph& new_converted,
                                  std::span<const VertexId> dirty_vertices) {
+  SPINNER_ASSIGN_OR_RETURN(*this, Updated(new_converted, dirty_vertices));
+  return Status::OK();
+}
+
+Result<ShardedGraphStore> ShardedGraphStore::Updated(
+    const CsrGraph& new_converted,
+    std::span<const VertexId> dirty_vertices) const {
   if (new_converted.NumVertices() != num_vertices_) {
     return Status::InvalidArgument(StrFormat(
         "Update requires an unchanged vertex count (store has %lld, graph "
@@ -116,14 +122,27 @@ Status ShardedGraphStore::Update(const CsrGraph& new_converted,
     }
     dirty[ShardOf(v)] = true;
   }
+
+  ShardedGraphStore next;
+  next.num_vertices_ = num_vertices_;
+  next.num_arcs_ = new_converted.NumArcs();
+  next.total_arc_weight_ = new_converted.TotalArcWeight();
+  next.labels_ = labels_;
+  next.rebuild_counts_ = rebuild_counts_;
+  next.shards_.resize(shards_.size());
   for (int s = 0; s < num_shards(); ++s) {
-    if (!dirty[s]) continue;
-    FillShard(new_converted, s);
-    ++rebuild_counts_[s];
+    if (!dirty[s]) {
+      next.shards_[s] = shards_[s];
+      continue;
+    }
+    Shard& shard = next.shards_[s];
+    shard.begin = shards_[s].begin;
+    shard.end = shards_[s].end;
+    shard.loads = shards_[s].loads;
+    next.FillShard(new_converted, s);
+    ++next.rebuild_counts_[s];
   }
-  num_arcs_ = new_converted.NumArcs();
-  total_arc_weight_ = new_converted.TotalArcWeight();
-  return Status::OK();
+  return next;
 }
 
 }  // namespace spinner

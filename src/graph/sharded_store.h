@@ -149,6 +149,15 @@ class ShardedGraphStore {
   Status Update(const CsrGraph& new_converted,
                 std::span<const VertexId> dirty_vertices);
 
+  /// Update() into a new store, leaving this one untouched: the clean
+  /// shards, labels, loads and rebuild counts are copied and the dirty
+  /// shards re-sliced — one pass over the arcs. A session keeps the old
+  /// store until label propagation on the new one succeeds. Same
+  /// preconditions and errors as Update().
+  Result<ShardedGraphStore> Updated(
+      const CsrGraph& new_converted,
+      std::span<const VertexId> dirty_vertices) const;
+
   /// How many times shard s has been (re)built — Build counts once per
   /// shard; Update increments only the dirty shards. Observability hook
   /// for the "deltas touch only owning shards" contract.

@@ -182,21 +182,26 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
 
 Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
   SPINNER_RETURN_IF_ERROR(CheckReady());
+  // The delta path patches instead of rebuilding: the fold merges the
+  // delta into the kept-sorted edge list, and PatchConversion rewrites
+  // only the touched pairs of the converted graph. Both equal the
+  // from-scratch results (Convert stays the reference for Open/Restore).
   SPINNER_ASSIGN_OR_RETURN(EdgeList new_edges,
                            spinner::ApplyDelta(num_vertices_, edges_, delta));
-  const int64_t new_num_vertices = num_vertices_ + delta.num_new_vertices;
-  SPINNER_ASSIGN_OR_RETURN(CsrGraph new_converted,
-                           Convert(new_num_vertices, new_edges));
+  SPINNER_ASSIGN_OR_RETURN(
+      CsrGraph new_converted,
+      PatchConversion(converted_, new_edges, delta, directed_));
   // Incremental restart labels (§III.D) are computed before the store is
   // touched, so every failure up to here leaves the session untouched.
   SPINNER_ASSIGN_OR_RETURN(
       std::vector<PartitionId> initial,
       ExtendForNewVertices(new_converted, assignment_, current_k_));
 
+  ShardedGraphStore next;
   if (delta.num_new_vertices > 0) {
     // The vertex range grew: block alignment moves every shard boundary,
     // so re-slice the whole store.
-    SPINNER_ASSIGN_OR_RETURN(store_, BuildStore(new_converted));
+    SPINNER_ASSIGN_OR_RETURN(next, BuildStore(new_converted));
   } else {
     // Same vertex range: only the shards owning an endpoint of a changed
     // edge have a stale CSR slice.
@@ -210,21 +215,22 @@ Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
       dirty.push_back(e.src);
       dirty.push_back(e.dst);
     }
-    SPINNER_RETURN_IF_ERROR(store_.Update(new_converted, dirty));
+    SPINNER_ASSIGN_OR_RETURN(next, store_.Updated(new_converted, dirty));
   }
 
+  // Label propagation runs over store_; the pre-call store waits in
+  // `next` and comes back untouched (slices, labels, rebuild counts) if
+  // the run fails.
+  std::swap(store_, next);
   PartitionResult result;
   const Status run_status =
       RunLpa(new_converted, std::move(initial), current_k_, &result);
   if (!run_status.ok()) {
-    // The store was already re-sliced for the new graph; put it back so
-    // the session's pre-call state stays self-consistent.
-    auto rebuilt = BuildStore(converted_);
-    if (rebuilt.ok()) store_ = std::move(rebuilt).value();
+    store_ = std::move(next);
     return run_status;
   }
 
-  num_vertices_ = new_num_vertices;
+  num_vertices_ = new_converted.NumVertices();
   edges_ = std::move(new_edges);
   converted_ = std::move(new_converted);
   assignment_ = result.assignment;

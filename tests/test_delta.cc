@@ -142,6 +142,35 @@ TEST(CoalesceTest, DedupesDuplicateAddsKeepingFirstOccurrenceOrder) {
   EXPECT_TRUE(delta.removed_edges.empty());
 }
 
+// Ids at or above 2^32 once shared a 64-bit hash key ((src<<32) ^ dst*C):
+// (1,0) and (1^0x7F4A7C15, 1<<32) both mapped to 1<<32. Keys are now the
+// (src,dst) pair itself.
+constexpr VertexId kWideSrc = 1 ^ 0x7F4A7C15;
+constexpr VertexId kWideDst = VertexId{1} << 32;
+
+TEST(CoalesceTest, WideIdAddsDoNotCollapse) {
+  GraphDelta delta = GraphDelta{}.AddEdge(1, 0).AddEdge(kWideSrc, kWideDst);
+  delta.Coalesce();
+  EXPECT_EQ(delta.added_edges, (EdgeList{{1, 0}, {kWideSrc, kWideDst}}));
+}
+
+TEST(CoalesceTest, WideIdRemoveDoesNotCancelAnUnrelatedAdd) {
+  GraphDelta delta =
+      GraphDelta{}.AddEdge(1, 0).RemoveEdge(kWideSrc, kWideDst);
+  delta.Coalesce();
+  EXPECT_EQ(delta.added_edges, (EdgeList{{1, 0}}));
+  EXPECT_EQ(delta.removed_edges, (EdgeList{{kWideSrc, kWideDst}}));
+}
+
+TEST(ApplyDeltaTest, RemovalMergesTheSortedPrefixWithTheUnsortedTail) {
+  // A fold output is a sorted prefix plus the adds appended since; a
+  // removal that hits the tail still yields the fully sorted survivors.
+  const EdgeList edges = {{0, 1}, {2, 2}, {1, 0}, {0, 5}};
+  auto out = ApplyDelta(6, edges, GraphDelta{}.RemoveEdge(1, 0).AddEdge(4, 3));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*out, (EdgeList{{0, 1}, {0, 5}, {2, 2}, {4, 3}}));
+}
+
 TEST(CoalesceTest, CancelsAddThenRemovePair) {
   GraphDelta delta = GraphDelta{}.AddEdge(0, 1).RemoveEdge(0, 1);
   delta.Coalesce();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,32 @@ TEST(PartitioningSessionTest, ApplyDeltaFailureLeavesStateUntouched) {
   EXPECT_EQ(session.assignment(), before);
   EXPECT_EQ(session.edges().size(), edges_before);
   EXPECT_EQ(session.num_vertices(), g.num_vertices);
+
+  // A delta whose removal names an absent edge fails in the fold, after
+  // the present removal and the add were already merged in. The edge list
+  // must come back in the same order (Snapshot writes that order), and
+  // quality must not move.
+  const EdgeList edges = session.edges();
+  auto metrics = session.Metrics();
+  ASSERT_TRUE(metrics.ok());
+  ASSERT_FALSE(edges.empty());
+  GraphDelta absent = GraphDelta{}
+                          .AddEdge(1, 2)
+                          .RemoveEdge(edges[0].src, edges[0].dst)
+                          .RemoveEdge(0, 0);  // a self-loop never present
+  const Status status = session.ApplyDelta(absent);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(session.edges(), edges);
+  EXPECT_EQ(session.assignment(), before);
+  auto after = session.Metrics();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->phi, metrics->phi);
+  EXPECT_EQ(after->rho, metrics->rho);
+  EXPECT_EQ(after->score, metrics->score);
+  EXPECT_EQ(after->loads, metrics->loads);
+  EXPECT_EQ(after->cut_weight, metrics->cut_weight);
+  EXPECT_EQ(after->total_weight, metrics->total_weight);
 }
 
 TEST(PartitioningSessionTest, RescaleTracksCurrentK) {
@@ -412,6 +439,51 @@ TEST(MultiProcessSessionTest, LifecycleMatchesInProcessAcrossShapes) {
       }
     }
   }
+}
+
+TEST(MultiProcessSessionTest, FailedApplyDeltaKeepsThePreCallStore) {
+  const GeneratedGraph g = SmallWorld(41);
+  SessionOptions options;
+  options.execution.mode = ExecutionMode::kMultiProcess;
+  options.execution.num_shards = 3;
+  options.execution.num_workers = 2;
+  options.execution.rpc_timeout_ms = 2'000;
+  options.execution.heartbeat_period_ms = 25;
+  options.execution.max_recovery_attempts = 0;
+  PartitioningSession session(SmallConfig(), options);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  const std::vector<PartitionId> before = session.assignment();
+  const EdgeList edges = session.edges();
+  std::vector<int64_t> rebuilds;
+  for (int s = 0; s < session.num_shards(); ++s) {
+    rebuilds.push_back(session.store().rebuild_count(s));
+  }
+
+  // Every worker connection dies on its first ScoresReply, and no
+  // recovery is allowed: label propagation fails after the store was
+  // already updated for the delta.
+  const GraphDelta delta =
+      RandomEdgeAdditions(g.num_vertices, g.edges, 20, /*seed=*/3);
+  ASSERT_EQ(::setenv("SPINNER_FAULT_PLAN", "close:dir=w2c:frame=3", 1), 0);
+  const Status failed = session.ApplyDelta(delta);
+  ASSERT_EQ(::unsetenv("SPINNER_FAULT_PLAN"), 0);
+  ASSERT_FALSE(failed.ok());
+
+  EXPECT_EQ(session.assignment(), before);
+  EXPECT_EQ(session.store().labels(), session.assignment());
+  EXPECT_EQ(session.edges(), edges);
+  for (int s = 0; s < session.num_shards(); ++s) {
+    EXPECT_EQ(session.store().rebuild_count(s), rebuilds[s]) << "shard " << s;
+  }
+
+  // The kept store is the one the delta applies to: a retry produces
+  // what an in-process session computes for the same delta.
+  ASSERT_TRUE(session.ApplyDelta(delta).ok());
+  PartitioningSession reference(SmallConfig(),
+                                SessionOptions{.num_shards = 3});
+  ASSERT_TRUE(reference.Open(g.num_vertices, g.edges, g.directed).ok());
+  ASSERT_TRUE(reference.ApplyDelta(delta).ok());
+  EXPECT_EQ(session.assignment(), reference.assignment());
 }
 
 TEST(MultiProcessSessionTest, FloatHistoriesMatchInProcess) {

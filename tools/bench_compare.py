@@ -20,7 +20,10 @@ baseline:
   * wall-clock metrics (fig6 real_time, stream_ingest events_per_sec)
     shift with the host, so each is first normalized by the best value
     in its own file (shape, not speed) and the shape gates at
-    --wall-tolerance (default 50%).
+    --wall-tolerance (default 50%). stream_ingest rebuild_share — the
+    within-run share (apply - LPA) / apply of a window — is already a
+    shape; it gates at --wall-tolerance too, higher is worse, so a delta
+    path that falls back to rebuilding the graph every window fails.
   * fig6's timings are single-shot (`iterations:1` manual timing), so a
     scheduler hiccup on a shared runner can double one entry while its
     siblings are unaffected; those gate at the wider
@@ -173,6 +176,13 @@ def compare_stream_ingest(gate, base, fresh, tolerance, wall_tolerance):
         gate.check(name, f"w{watermark}.events_per_sec(norm)",
                    base_shape[watermark], fresh_shape[watermark],
                    wall_tolerance, higher_is_better=True)
+        if "rebuild_share" not in got:
+            gate.error(f"{name}: w{watermark}.rebuild_share missing from"
+                       " fresh output")
+            continue
+        gate.check(name, f"w{watermark}.rebuild_share",
+                   row["rebuild_share"], got["rebuild_share"],
+                   wall_tolerance, higher_is_better=False)
 
 
 def compare_fig6(gate, base, fresh, single_shot_tolerance):
