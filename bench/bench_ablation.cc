@@ -3,10 +3,13 @@
 //   1. per-worker asynchronous counters (§IV.A.4) — convergence speedup;
 //   2. the balance penalty term of Eq. 8 — what happens to ρ without it
 //      (approximated by a huge c, which flattens the penalty);
-//   3. in-engine vs offline conversion — setup cost of the two extra
-//      supersteps;
+//   3. in-engine vs offline conversion — the two extra supersteps of
+//      §IV.A.1 build the same graph, so the run is checked to be identical
+//      apart from those 2 supersteps;
 //   4. halting window w — iterations saved vs quality lost.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "spinner/partitioner.h"
@@ -17,7 +20,8 @@ namespace {
 void Run() {
   PrintBanner("ABLATIONS — design choices of the Spinner algorithm",
               "async counters speed convergence; penalty term is what "
-              "creates balance; conversion phases cost 2 supersteps; "
+              "creates balance; conversion phases cost 2 supersteps "
+              "and change nothing else; "
               "larger w trades iterations for certainty");
   StandIn lj = MakeStandIn("LJ");
   CsrGraph g = Convert(lj.graph);
@@ -56,6 +60,7 @@ void Run() {
   // --- 3. conversion path ----------------------------------------------------
   std::printf("\n[3] conversion path (directed G+ stand-in):\n");
   StandIn gp = MakeStandIn("G+");
+  std::vector<PartitionResult> runs;
   for (bool in_engine : {false, true}) {
     SpinnerConfig config;
     config.num_partitions = k;
@@ -70,7 +75,13 @@ void Run() {
         static_cast<long long>(result->run_stats.supersteps),
         result->run_stats.total_wall_seconds, result->metrics.phi,
         result->metrics.rho);
+    runs.push_back(std::move(result).value());
   }
+  SPINNER_CHECK(runs[1].assignment == runs[0].assignment)
+      << "in-engine conversion changed the assignment";
+  SPINNER_CHECK(runs[1].run_stats.supersteps ==
+                runs[0].run_stats.supersteps + 2)
+      << "in-engine conversion must cost exactly 2 supersteps";
 
   // --- 4. halting window ------------------------------------------------------
   std::printf("\n[4] halting window w (eps=0.001):\n");

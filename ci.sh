@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification matrix: Debug + Release, warnings as errors, tests
-# labeled tier1 (benches build but are excluded from the gate).
+# labeled tier1 (benches build but are excluded from the gate, except
+# bench_ablation, whose self-checks run in the Release configuration).
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 # Sanitizer mode (one configuration instead of the matrix):
@@ -295,6 +296,11 @@ for build_type in Debug Release; do
     -DSPINNER_WERROR=ON
   cmake --build "${build_dir}" -j "${JOBS}"
   ctest --test-dir "${build_dir}" -L tier1 --output-on-failure -j "${JOBS}"
+  if [[ "${build_type}" == "Release" ]]; then
+    # Ablation row [3] aborts unless in-engine conversion reproduces the
+    # offline run exactly, plus its 2 conversion supersteps (~1.5 s).
+    "./${build_dir}/bench_ablation"
+  fi
 done
 
 echo "ci.sh: all configurations passed"

@@ -8,8 +8,9 @@
 //   w(u,v) = 2 if both are.
 //
 // This is the offline reference implementation; the Pregel-native
-// NeighborPropagation/NeighborDiscovery phases in src/spinner compute the
-// same result in-engine, and a test cross-checks the two.
+// NeighborPropagation/NeighborDiscovery supersteps (ConvertInEngine,
+// spinner/program.h) compute the same graph in-engine, and a test
+// cross-checks the two.
 #ifndef SPINNER_GRAPH_CONVERSION_H_
 #define SPINNER_GRAPH_CONVERSION_H_
 

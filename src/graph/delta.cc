@@ -13,16 +13,8 @@
 namespace spinner {
 
 namespace {
-/// Hashes an edge by its full (src,dst) pair; the maps below compare keys
-/// with Edge equality, so (u,v) and (v,u) stay distinct, like ApplyDelta
-/// removal, and no two ids share a key whatever their width.
-struct EdgeHash {
-  size_t operator()(const Edge& e) const {
-    return std::hash<uint64_t>{}(
-        static_cast<uint64_t>(e.src) * 0x9E3779B97F4A7C15ull ^
-        static_cast<uint64_t>(e.dst));
-  }
-};
+/// Keyed by the directed pair: (u,v) and (v,u) stay distinct, like
+/// ApplyDelta removal.
 using EdgeCounts = std::unordered_map<Edge, int64_t, EdgeHash>;
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -12,11 +13,11 @@ namespace spinner {
 
 namespace {
 
-/// 64-bit key for an undirected edge, used for dedup sets.
-uint64_t UndirectedKey(VertexId a, VertexId b) {
-  const auto lo = static_cast<uint64_t>(std::min(a, b));
-  const auto hi = static_cast<uint64_t>(std::max(a, b));
-  return (hi << 32) | lo;
+/// Dedup set of undirected edges, each stored as (min, max).
+using UndirectedSet = std::unordered_set<Edge, EdgeHash>;
+
+Edge UndirectedKey(VertexId a, VertexId b) {
+  return Edge{std::min(a, b), std::max(a, b)};
 }
 
 }  // namespace
@@ -42,7 +43,7 @@ Result<GeneratedGraph> WattsStrogatz(int64_t num_vertices,
   g.edges.reserve(num_vertices * neighbors_per_side);
 
   // Dedup set guards rewired targets; lattice edges are unique by design.
-  std::unordered_set<uint64_t> present;
+  UndirectedSet present;
   present.reserve(num_vertices * neighbors_per_side * 2);
   for (VertexId v = 0; v < num_vertices; ++v) {
     for (int j = 1; j <= neighbors_per_side; ++j) {
@@ -65,7 +66,7 @@ Result<GeneratedGraph> WattsStrogatz(int64_t num_vertices,
           const VertexId cand =
               static_cast<VertexId>(rng.Uniform(num_vertices));
           if (cand == v) continue;
-          const uint64_t key = UndirectedKey(v, cand);
+          const Edge key = UndirectedKey(v, cand);
           if (present.count(key)) continue;
           present.erase(UndirectedKey(v, lattice_target));
           present.insert(key);
@@ -131,7 +132,15 @@ Result<GeneratedGraph> ErdosRenyi(int64_t num_vertices, int64_t num_edges,
   if (num_vertices < 2) {
     return Status::InvalidArgument("ErdosRenyi needs >= 2 vertices");
   }
-  const int64_t max_edges = num_vertices * (num_vertices - 1) / 2;
+  // n(n-1)/2 with the even factor halved first; a product past int64
+  // saturates, which keeps the bound check exact for any int64 count.
+  const bool even = num_vertices % 2 == 0;
+  int64_t max_edges = 0;
+  if (__builtin_mul_overflow(even ? num_vertices / 2 : num_vertices,
+                             even ? num_vertices - 1 : (num_vertices - 1) / 2,
+                             &max_edges)) {
+    max_edges = std::numeric_limits<int64_t>::max();
+  }
   if (num_edges < 0 || num_edges > max_edges) {
     return Status::InvalidArgument(
         StrFormat("num_edges %lld outside [0, %lld]",
@@ -141,15 +150,14 @@ Result<GeneratedGraph> ErdosRenyi(int64_t num_vertices, int64_t num_edges,
   GeneratedGraph g;
   g.num_vertices = num_vertices;
   g.directed = false;
-  std::unordered_set<uint64_t> present;
+  UndirectedSet present;
   present.reserve(num_edges * 2);
   Rng rng(SplitMix64(seed ^ 0xE2D5ULL));
   while (static_cast<int64_t>(g.edges.size()) < num_edges) {
     const VertexId u = static_cast<VertexId>(rng.Uniform(num_vertices));
     const VertexId v = static_cast<VertexId>(rng.Uniform(num_vertices));
     if (u == v) continue;
-    const uint64_t key = UndirectedKey(u, v);
-    if (!present.insert(key).second) continue;
+    if (!present.insert(UndirectedKey(u, v)).second) continue;
     g.edges.push_back({u, v});
   }
   return g;

@@ -2,7 +2,9 @@
 #ifndef SPINNER_GRAPH_TYPES_H_
 #define SPINNER_GRAPH_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace spinner {
@@ -28,6 +30,17 @@ struct Edge {
 
   friend bool operator==(const Edge&, const Edge&) = default;
   friend auto operator<=>(const Edge&, const Edge&) = default;
+};
+
+/// Hashes an edge by its full (src,dst) pair, so no two id pairs share a
+/// key whatever their width. (u,v) and (v,u) are distinct keys; callers
+/// that want an undirected key normalise the pair first.
+struct EdgeHash {
+  size_t operator()(const Edge& e) const noexcept {
+    return std::hash<uint64_t>{}(
+        static_cast<uint64_t>(e.src) * 0x9E3779B97F4A7C15ull ^
+        static_cast<uint64_t>(e.dst));
+  }
 };
 
 /// Plain edge-list representation used by loaders and generators.

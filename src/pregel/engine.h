@@ -7,10 +7,8 @@
 //  * vote-to-halt with message reactivation;
 //  * combiners (associative message reduction applied on ingest);
 //  * aggregators with sharded-style per-worker partials (aggregators.h);
-//  * per-worker shared state (worker_context.h), the hook Spinner's
-//    asynchronous-within-a-superstep counters need;
 //  * vertex-local graph mutation (a vertex may add/modify its own out-edges,
-//    which is all NeighborDiscovery requires);
+//    which is all NeighborDiscovery requires, spinner/program.h);
 //  * pluggable vertex→worker placement, so computed partitionings can drive
 //    data placement exactly as §V.F does in Giraph.
 //
@@ -37,7 +35,7 @@
 #include "graph/types.h"
 #include "pregel/aggregators.h"
 #include "pregel/stats.h"
-#include "pregel/worker_context.h"
+#include "pregel/topology.h"
 
 namespace spinner::pregel {
 
@@ -62,9 +60,9 @@ struct EngineConfig {
 template <typename V, typename E, typename M>
 class PregelEngine;
 
-/// Read/write access handed to PreSuperstep/PostSuperstep hooks: the
-/// worker's identity, merged aggregator values from the previous superstep,
-/// and this worker's writable partials.
+/// One worker's view of a superstep, shared by the handles of the vertices
+/// it computes: the worker's identity, merged aggregator values from the
+/// previous superstep, and this worker's writable partials.
 class WorkerApi {
  public:
   WorkerApi(WorkerId worker, int num_workers, int64_t superstep,
@@ -181,19 +179,14 @@ class VertexHandle {
     return api_->template Partial<T>(name);
   }
 
-  /// The worker-shared context (downcast to the program's subclass).
-  WorkerContextBase* worker_context() { return context_; }
-
  private:
   friend class PregelEngine<V, E, M>;
 
-  VertexHandle(PregelEngine<V, E, M>* engine, WorkerApi* api,
-               WorkerContextBase* context, VertexId id, V* value,
-               std::vector<OutEdge<E>>* edges, uint8_t* halted,
+  VertexHandle(PregelEngine<V, E, M>* engine, WorkerApi* api, VertexId id,
+               V* value, std::vector<OutEdge<E>>* edges, uint8_t* halted,
                int64_t total_vertices)
       : engine_(engine),
         api_(api),
-        context_(context),
         id_(id),
         value_(value),
         edges_(edges),
@@ -202,7 +195,6 @@ class VertexHandle {
 
   PregelEngine<V, E, M>* engine_;
   WorkerApi* api_;
-  WorkerContextBase* context_;
   VertexId id_;
   V* value_;
   std::vector<OutEdge<E>>* edges_;
@@ -212,8 +204,7 @@ class VertexHandle {
 
 /// A vertex-centric program: the user-facing abstraction of the Pregel
 /// model. Subclass and override Compute(); optionally register aggregators,
-/// provide a worker context, combine messages, and steer the run from
-/// MasterCompute.
+/// combine messages, and steer the run from MasterCompute.
 template <typename V, typename E, typename M>
 class VertexProgram {
  public:
@@ -221,15 +212,6 @@ class VertexProgram {
 
   /// Called once before superstep 0; register aggregators here.
   virtual void RegisterAggregators(AggregatorRegistry* /*registry*/) {}
-
-  /// Per-worker shared state factory.
-  virtual std::unique_ptr<WorkerContextBase> CreateWorkerContext() {
-    return std::make_unique<WorkerContextBase>();
-  }
-
-  /// Hooks bracketing each worker's sequential pass over its vertices.
-  virtual void PreSuperstep(WorkerContextBase* /*wc*/, WorkerApi& /*api*/) {}
-  virtual void PostSuperstep(WorkerContextBase* /*wc*/, WorkerApi& /*api*/) {}
 
   /// The vertex kernel.
   virtual void Compute(VertexHandle<V, E, M>& vertex,
@@ -256,8 +238,7 @@ class PregelEngine {
   /// (must return values in [0, num_workers)); `init_vertex` and `init_edge`
   /// produce initial vertex and edge values.
   PregelEngine(
-      const CsrGraph& graph, EngineConfig config,
-      std::function<WorkerId(VertexId)> placement,
+      const CsrGraph& graph, EngineConfig config, const Placement& placement,
       std::function<V(VertexId)> init_vertex,
       std::function<E(VertexId, VertexId, EdgeWeight)> init_edge)
       : config_(config), num_vertices_(graph.NumVertices()) {
@@ -314,10 +295,6 @@ class PregelEngine {
     aggregators_ = AggregatorRegistry();
     program.RegisterAggregators(&aggregators_);
     aggregators_.CreatePartials(W);
-    for (WorkerId w = 0; w < W; ++w) {
-      workers_[w].context = program.CreateWorkerContext();
-      workers_[w].context->BindWorker(w, W);
-    }
 
     RunStats run_stats;
     WallTimer total_timer;
@@ -398,7 +375,8 @@ class PregelEngine {
   }
 
   /// Final (or current) out-edges of vertex v, including any added by the
-  /// program (e.g. Spinner's NeighborDiscovery). Inspection/debugging aid.
+  /// program (e.g. Spinner's NeighborDiscovery, which reads its converted
+  /// graph back out through this).
   const std::vector<OutEdge<E>>& EdgesOf(VertexId v) const {
     const WorkerState& ws = workers_[owner_[v]];
     return ws.out_edges[local_index_[v]];
@@ -425,7 +403,6 @@ class PregelEngine {
     std::vector<std::vector<M>> inbox_cur;  // read by Compute this superstep
     std::vector<std::vector<M>> inbox_nxt;  // filled at the barrier
     std::vector<std::vector<std::pair<VertexId, M>>> outbox;  // by dst worker
-    std::unique_ptr<WorkerContextBase> context;
     // Per-superstep counters (reset at superstep start).
     int64_t msgs_out = 0;
     int64_t msgs_local = 0;
@@ -450,21 +427,19 @@ class PregelEngine {
     ws.edges_scanned = 0;
 
     WorkerApi api(w, config_.num_workers, step, &aggregators_);
-    program->PreSuperstep(ws.context.get(), api);
     const size_t n_local = ws.ids.size();
     for (size_t i = 0; i < n_local; ++i) {
       const bool has_msg = !ws.inbox_cur[i].empty();
       if (ws.halted[i] && !has_msg) continue;
       ws.halted[i] = 0;
-      Handle handle(this, &api, ws.context.get(), ws.ids[i], &ws.values[i],
-                    &ws.out_edges[i], &ws.halted[i], num_vertices_);
+      Handle handle(this, &api, ws.ids[i], &ws.values[i], &ws.out_edges[i],
+                    &ws.halted[i], num_vertices_);
       program->Compute(handle,
                        std::span<const M>(ws.inbox_cur[i].data(),
                                           ws.inbox_cur[i].size()));
       ++ws.vertices_computed;
       ws.edges_scanned += static_cast<int64_t>(ws.out_edges[i].size());
     }
-    program->PostSuperstep(ws.context.get(), api);
   }
 
   void DeliverMessages(Program* program, SuperstepStats* ss) {

@@ -62,13 +62,11 @@ struct SpinnerConfig {
   /// the deprecated flat fields below (ResolvedExecution()).
   ExecutionOptions execution = {};
 
-  /// Pregel workers to simulate (0 = one per hardware thread). This is the
-  /// machine count of the simulated cluster; it affects the per-worker
-  /// asynchronous optimization but not correctness. Only meaningful for
-  /// the Pregel-engine substrate (in_engine_conversion runs and the app
-  /// suite); the sharded substrate maps it to the shard count when
-  /// num_shards is 0. (Not an ExecutionOptions field: it is algorithmic
-  /// input to the simulated-cluster substrate, not an execution shape.)
+  /// Simulated cluster machines (0 = one per hardware thread). The LPA
+  /// loop maps it to the shard count when num_shards is 0, and the
+  /// in-engine conversion runs one Pregel worker per shard. Never changes
+  /// results: the §IV.A.4 asynchronous view is applied per fixed-size
+  /// vertex block, not per worker.
   int num_workers = 0;
 
   /// DEPRECATED — use execution.num_shards. Shards of the
@@ -94,10 +92,12 @@ struct SpinnerConfig {
   /// dist/transport.h TransportOptions). Minimum 64.
   uint64_t wire_max_payload = 0;
 
-  /// When true, the directed→weighted-undirected conversion runs inside the
-  /// engine as the NeighborPropagation/NeighborDiscovery supersteps
-  /// (§IV.A.1), exactly as the Giraph implementation does. When false the
-  /// caller passes an already-converted graph.
+  /// PartitionDirected only: when true, the directed→weighted-undirected
+  /// conversion runs on the Pregel engine as the NeighborPropagation/
+  /// NeighborDiscovery supersteps (§IV.A.1, spinner/program.h), as the
+  /// Giraph implementation does; when false it runs offline
+  /// (graph/conversion.h). Both build the same graph, so the partitioning
+  /// is the same and run_stats gains the 2 conversion supersteps.
   bool in_engine_conversion = false;
 
   /// §IV.A.4: per-worker asynchronous load counters. Disable to ablate

@@ -1,14 +1,13 @@
-// The per-vertex decision kernel of Spinner's label propagation, shared by
-// the two execution substrates:
-//  * the Pregel BSP engine (spinner/program.cc), faithful to the paper's
-//    Giraph deployment;
-//  * the shard-parallel superstep loop (spinner/sharded_program.cc) that
-//    runs directly over a ShardedGraphStore.
+// The per-vertex decision kernel of Spinner's label propagation, used by
+// the one LPA loop (spinner/shard_superstep.h under
+// spinner/superstep_driver.h) on every substrate: in-process shards
+// (spinner/sharded_program.cc) and shard workers in forked or remote
+// processes (dist/worker.cc).
 //
-// Both paths must take bit-identical decisions for the same inputs — label
-// choice (Eq. 8 + deterministic tie break), migration probability (Eq. 14)
-// and the hash-derived random streams — so the kernel lives here exactly
-// once. All randomness is stateless: hash (seed, domain, superstep, vertex)
+// Every shard must take bit-identical decisions for the same inputs —
+// label choice (Eq. 8 + deterministic tie break), migration probability
+// (Eq. 14) and the hash-derived random streams — so the kernel lives here
+// exactly once. All randomness is stateless: hash (seed, domain, superstep, vertex)
 // to get an independent stream per decision point, making every run
 // reproducible for a given seed regardless of shard/worker/thread counts.
 //

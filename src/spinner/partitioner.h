@@ -53,13 +53,13 @@ struct PartitionResult {
   PartitionMetrics metrics;
   /// Per-iteration evolution (Fig. 4 curves); empty if record_history off.
   std::vector<IterationPoint> history;
-  /// Engine statistics: supersteps, wall time, messages.
+  /// Superstep statistics: supersteps, wall time, messages.
   pregel::RunStats run_stats;
   /// Wire traffic of the cross-process execution mode (zeros when the run
   /// stayed in-process).
   WireTraffic wire;
-  /// Work-stealing claim counters of the in-process sharded substrate
-  /// (zeros for the Pregel engine and cross-process modes).
+  /// Work-stealing claim counters of the in-process run (zeros for the
+  /// cross-process modes).
   ScheduleStats schedule;
 };
 
@@ -73,9 +73,12 @@ class SpinnerPartitioner {
   Result<PartitionResult> Partition(const CsrGraph& converted) const;
 
   /// Partitions a raw directed edge list from scratch: deduplicates edges,
-  /// then either converts offline or — when config.in_engine_conversion is
-  /// set — runs the NeighborPropagation/NeighborDiscovery supersteps
-  /// in-engine exactly like the Giraph implementation.
+  /// then converts them offline or — when config.in_engine_conversion is
+  /// set — with the NeighborPropagation/NeighborDiscovery supersteps on
+  /// the Pregel engine, as the Giraph implementation does
+  /// (spinner/program.h). Both conversions yield the same graph, so the
+  /// result is the same except that run_stats starts with the two
+  /// conversion supersteps.
   Result<PartitionResult> PartitionDirected(int64_t num_vertices,
                                             const EdgeList& directed) const;
 
@@ -106,18 +109,16 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// Dispatches to the right substrate: pre-converted graphs run
-  /// shard-parallel over a ShardedGraphStore (spinner/sharded_program.h);
-  /// in-engine conversion runs on the Pregel engine via RunOnEngine.
-  Result<PartitionResult> RunOnGraph(const CsrGraph& engine_graph,
-                                     const CsrGraph& converted,
-                                     std::vector<PartitionId> initial_labels,
-                                     int k, bool with_conversion) const;
+  /// config() with num_partitions = k and the nested execution options
+  /// folded into the flat fields the shard/thread resolvers read.
+  SpinnerConfig RunConfig(int k) const;
 
-  /// The Pregel-engine substrate (conversion supersteps included).
-  Result<PartitionResult> RunOnEngine(
-      const CsrGraph& engine_graph, std::vector<PartitionId> initial_labels,
-      const SpinnerConfig& run_config) const;
+  /// Runs label propagation on `converted` over a ShardedGraphStore, on
+  /// threads or worker processes as the execution options select
+  /// (spinner/sharded_program.h, dist/coordinator.h).
+  Result<PartitionResult> RunOnGraph(const CsrGraph& converted,
+                                     std::vector<PartitionId> initial_labels,
+                                     int k) const;
 
   SpinnerConfig config_;
   ProgressObserver observer_;

@@ -1,429 +1,114 @@
 #include "spinner/program.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
-#include "common/random.h"
-#include "spinner/lpa_kernel.h"
+#include "common/string_util.h"
+#include "pregel/engine.h"
+#include "pregel/topology.h"
 
 namespace spinner {
 
 namespace {
 
-/// Binary search for the edge pointing at `target`. Edges are kept sorted
-/// by target from Initialize onwards (and arrive sorted from the CSR).
-pregel::OutEdge<SpinnerEdgeValue>* FindEdge(
-    std::vector<pregel::OutEdge<SpinnerEdgeValue>>& edges, VertexId target,
-    size_t search_limit) {
-  auto begin = edges.begin();
-  auto end = begin + static_cast<ptrdiff_t>(search_limit);
-  auto it = std::lower_bound(
-      begin, end, target,
-      [](const pregel::OutEdge<SpinnerEdgeValue>& e, VertexId t) {
-        return e.target < t;
-      });
-  if (it == end || it->target != target) return nullptr;
-  return &*it;
-}
+/// Edge values are the conversion weights w(u,v) (Eq. 3); a message is
+/// the id of the vertex that sent it. The vertex value is unused.
+using ConversionHandle = pregel::VertexHandle<char, EdgeWeight, VertexId>;
+using ConversionEdge = pregel::OutEdge<EdgeWeight>;
+
+class ConversionProgram
+    : public pregel::VertexProgram<char, EdgeWeight, VertexId> {
+ public:
+  void Compute(ConversionHandle& vertex,
+               std::span<const VertexId> messages) override {
+    if (vertex.superstep() == 0) {
+      NeighborPropagation(vertex);
+    } else {
+      NeighborDiscovery(vertex, messages);
+    }
+  }
+
+ private:
+  /// Advertises this vertex's id once to every distinct out-neighbour.
+  /// Rows arrive from the CSR sorted by target, so repeats are adjacent.
+  static void NeighborPropagation(ConversionHandle& vertex) {
+    const auto& edges = vertex.edges();
+    for (size_t i = 0; i < edges.size(); ++i) {
+      const VertexId target = edges[i].target;
+      if (target == vertex.id()) continue;  // self-loops carry no cut
+      if (i > 0 && edges[i - 1].target == target) continue;
+      vertex.SendMessage(target, vertex.id());
+    }
+  }
+
+  /// A message from u means the arc u→v exists: a reciprocal pair gets
+  /// weight 2, a one-way arc gets its reverse with weight 1. The row is
+  /// then left sorted by target with self-loops and repeats dropped.
+  static void NeighborDiscovery(ConversionHandle& vertex,
+                                std::span<const VertexId> messages) {
+    auto& edges = vertex.mutable_edges();
+    const auto original = static_cast<ptrdiff_t>(edges.size());
+    for (const VertexId u : messages) {
+      const auto end = edges.begin() + original;
+      const auto it = std::lower_bound(
+          edges.begin(), end, u,
+          [](const ConversionEdge& e, VertexId t) { return e.target < t; });
+      if (it != end && it->target == u) {
+        it->value = 2;
+      } else {
+        vertex.AddEdge(u, 1);
+      }
+    }
+    const VertexId v = vertex.id();
+    std::erase_if(edges,
+                  [v](const ConversionEdge& e) { return e.target == v; });
+    // Heaviest copy first, so dropping repeats keeps a weight-2 arc.
+    std::sort(edges.begin(), edges.end(),
+              [](const ConversionEdge& a, const ConversionEdge& b) {
+                return a.target != b.target ? a.target < b.target
+                                            : a.value > b.value;
+              });
+    edges.erase(std::unique(edges.begin(), edges.end(),
+                            [](const ConversionEdge& a,
+                               const ConversionEdge& b) {
+                              return a.target == b.target;
+                            }),
+                edges.end());
+    vertex.VoteToHalt();
+  }
+};
 
 }  // namespace
 
-SpinnerProgram::SpinnerProgram(const SpinnerConfig& config,
-                               std::vector<PartitionId> initial_labels,
-                               bool start_with_conversion)
-    : config_(config),
-      initial_labels_(std::move(initial_labels)),
-      phase_(start_with_conversion ? kNeighborPropagation : kInitialize) {
-  SPINNER_CHECK(config_.num_partitions >= 1);
-  SPINNER_CHECK(config_.additional_capacity > 0.0);
-  if (!config_.partition_weights.empty()) {
-    SPINNER_CHECK(static_cast<int>(config_.partition_weights.size()) ==
-                  config_.num_partitions)
-        << "partition_weights must have one entry per partition";
-    for (double w : config_.partition_weights) {
-      SPINNER_CHECK(w > 0.0) << "partition weights must be positive";
+Result<CsrGraph> ConvertInEngine(const CsrGraph& raw_directed,
+                                 int num_workers, pregel::RunStats* stats) {
+  if (num_workers < 1) {
+    return Status::InvalidArgument(
+        StrFormat("num_workers must be >= 1 (got %d)", num_workers));
+  }
+  pregel::EngineConfig engine_config;
+  engine_config.num_workers = num_workers;
+  pregel::PregelEngine<char, EdgeWeight, VertexId> engine(
+      raw_directed, engine_config, pregel::HashPlacement(num_workers),
+      [](VertexId) { return char{0}; },
+      [](VertexId, VertexId, EdgeWeight) { return EdgeWeight{1}; });
+  ConversionProgram program;
+  pregel::RunStats run = engine.Run(program);
+  if (stats != nullptr) *stats = std::move(run);
+
+  const int64_t n = raw_directed.NumVertices();
+  EdgeList arcs;
+  std::vector<EdgeWeight> weights;
+  arcs.reserve(static_cast<size_t>(2 * raw_directed.NumArcs()));
+  weights.reserve(arcs.capacity());
+  for (VertexId v = 0; v < n; ++v) {
+    for (const ConversionEdge& e : engine.EdgesOf(v)) {
+      arcs.push_back({v, e.target});
+      weights.push_back(e.value);
     }
   }
-}
-
-int64_t SpinnerProgram::LoadUnits(const SpinnerVertexValue& value) const {
-  return config_.balance_mode == BalanceMode::kVertices
-             ? 1
-             : value.weighted_degree;
-}
-
-void SpinnerProgram::RegisterAggregators(
-    pregel::AggregatorRegistry* registry) {
-  const auto k = static_cast<size_t>(config_.num_partitions);
-  registry->Register(kPhaseAgg,
-                     std::make_unique<pregel::LongBroadcastAggregator>(),
-                     /*persistent=*/true);
-  registry->Register(kLoadsAgg,
-                     std::make_unique<pregel::VectorSumAggregator>(k),
-                     /*persistent=*/true);
-  registry->Register(kMigrationsAgg,
-                     std::make_unique<pregel::VectorSumAggregator>(k),
-                     /*persistent=*/false);
-  registry->Register(kTotalLoadAgg,
-                     std::make_unique<pregel::LongSumAggregator>(),
-                     /*persistent=*/true);
-  registry->Register(kScoreAgg,
-                     std::make_unique<pregel::DoubleSumAggregator>(),
-                     /*persistent=*/false);
-  registry->Register(kLocalWeightAgg,
-                     std::make_unique<pregel::LongSumAggregator>(),
-                     /*persistent=*/false);
-  registry->Register(kMigratedAgg,
-                     std::make_unique<pregel::LongSumAggregator>(),
-                     /*persistent=*/false);
-  registry->Get<pregel::LongBroadcastAggregator>(kPhaseAgg)
-      ->set_value(static_cast<int64_t>(phase_));
-}
-
-std::unique_ptr<pregel::WorkerContextBase>
-SpinnerProgram::CreateWorkerContext() {
-  return std::make_unique<SpinnerWorkerContext>();
-}
-
-void SpinnerProgram::PreSuperstep(pregel::WorkerContextBase* wc,
-                                  pregel::WorkerApi& api) {
-  auto* swc = static_cast<SpinnerWorkerContext*>(wc);
-  swc->phase =
-      api.Aggregated<pregel::LongBroadcastAggregator>(kPhaseAgg)->value();
-
-  // Cache the typed partials once per superstep; Compute() then runs with
-  // no registry lookups at all.
-  swc->loads_partial = api.Partial<pregel::VectorSumAggregator>(kLoadsAgg);
-  swc->migrations_partial =
-      api.Partial<pregel::VectorSumAggregator>(kMigrationsAgg);
-  swc->score_partial = api.Partial<pregel::DoubleSumAggregator>(kScoreAgg);
-  swc->local_weight_partial =
-      api.Partial<pregel::LongSumAggregator>(kLocalWeightAgg);
-  swc->migrated_partial = api.Partial<pregel::LongSumAggregator>(kMigratedAgg);
-  swc->total_load_partial =
-      api.Partial<pregel::LongSumAggregator>(kTotalLoadAgg);
-
-  const auto k = static_cast<size_t>(config_.num_partitions);
-  if (swc->freq.size() != k) {
-    swc->freq.assign(k, 0);
-    swc->touched.reserve(k);
-  }
-
-  if (swc->phase == kComputeScores || swc->phase == kComputeMigrations) {
-    const auto& loads =
-        api.Aggregated<pregel::VectorSumAggregator>(kLoadsAgg)->values();
-    swc->global_loads.assign(loads.begin(), loads.end());
-    const int64_t total =
-        api.Aggregated<pregel::LongSumAggregator>(kTotalLoadAgg)->value();
-    const int k_parts = config_.num_partitions;
-    swc->capacities.assign(k_parts, 0.0);
-    if (config_.partition_weights.empty()) {
-      const double uniform = config_.additional_capacity *
-                             static_cast<double>(total) /
-                             static_cast<double>(k_parts);
-      swc->capacities.assign(k_parts, uniform);
-    } else {
-      double weight_sum = 0.0;
-      for (double w : config_.partition_weights) weight_sum += w;
-      for (int l = 0; l < k_parts; ++l) {
-        swc->capacities[l] = config_.additional_capacity *
-                             static_cast<double>(total) *
-                             config_.partition_weights[l] / weight_sum;
-      }
-    }
-    if (swc->phase == kComputeScores) {
-      // Eq. 8's load penalty is vertex-independent: one table per load
-      // view, not one division per (vertex, label).
-      swc->global_penalty.assign(static_cast<size_t>(k_parts), 0.0);
-      lpa::FillPenalties(swc->global_loads, swc->capacities,
-                         swc->global_penalty);
-      if (config_.per_worker_async) {
-        // The asynchronous per-worker view starts from the global
-        // snapshot; ComputeScoresPhase diverges it move by move.
-        swc->projected_loads = swc->global_loads;
-        swc->async_penalty = swc->global_penalty;
-      }
-    } else {
-      swc->migration_counts =
-          api.Aggregated<pregel::VectorSumAggregator>(kMigrationsAgg)
-              ->values();
-      swc->migrate_p.assign(static_cast<size_t>(k_parts), 0.0);
-      lpa::FillMigrationProbabilities(swc->global_loads, swc->capacities,
-                                      swc->migration_counts, swc->migrate_p);
-    }
-  }
-}
-
-void SpinnerProgram::Compute(SpinnerHandle& vertex,
-                             std::span<const LabelMessage> messages) {
-  auto* wc = static_cast<SpinnerWorkerContext*>(vertex.worker_context());
-  switch (static_cast<Phase>(wc->phase)) {
-    case kNeighborPropagation:
-      ComputeNeighborPropagation(vertex);
-      break;
-    case kNeighborDiscovery:
-      ComputeNeighborDiscovery(vertex, messages);
-      break;
-    case kInitialize:
-      ComputeInitialize(vertex, wc);
-      break;
-    case kComputeScores:
-      ComputeScoresPhase(vertex, wc, messages);
-      break;
-    case kComputeMigrations:
-      ComputeMigrationsPhase(vertex, wc);
-      break;
-  }
-}
-
-void SpinnerProgram::ComputeNeighborPropagation(SpinnerHandle& vertex) {
-  // §IV.A.1 step 1: advertise this vertex's id across its directed
-  // out-edges so endpoints can discover incoming edges.
-  vertex.SendMessageToAllEdges(LabelMessage{vertex.id(), kNoPartition});
-}
-
-void SpinnerProgram::ComputeNeighborDiscovery(
-    SpinnerHandle& vertex, std::span<const LabelMessage> messages) {
-  // §IV.A.1 step 2: a message from u means the directed edge u→v exists.
-  // If v also has v→u, the pair is reciprocal: weight 2 (Eq. 3). Otherwise
-  // v creates the reverse edge with weight 1, making the graph symmetric.
-  auto& edges = vertex.mutable_edges();
-  const size_t original_count = edges.size();  // CSR prefix stays sorted
-  for (const LabelMessage& msg : messages) {
-    auto* edge = FindEdge(edges, msg.source, original_count);
-    if (edge != nullptr) {
-      edge->value.weight = 2;
-    } else {
-      vertex.AddEdge(msg.source, SpinnerEdgeValue{1, kNoPartition});
-    }
-  }
-}
-
-void SpinnerProgram::ComputeInitialize(SpinnerHandle& vertex,
-                                       SpinnerWorkerContext* wc) {
-  auto& edges = vertex.mutable_edges();
-  // NeighborDiscovery appends out of order; keep edges sorted by target so
-  // message processing can binary-search.
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) { return a.target < b.target; });
-
-  auto& value = vertex.value();
-  value.weighted_degree = 0;
-  for (const auto& e : edges) value.weighted_degree += e.value.weight;
-
-  PartitionId label = kNoPartition;
-  if (vertex.id() < static_cast<VertexId>(initial_labels_.size())) {
-    label = initial_labels_[vertex.id()];
-  }
-  if (label == kNoPartition) {
-    label = lpa::InitialLabel(config_.seed, vertex.id(),
-                              config_.num_partitions);
-  }
-  SPINNER_DCHECK(label >= 0 && label < config_.num_partitions);
-  value.label = label;
-
-  const int64_t units = LoadUnits(value);
-  wc->loads_partial->Add(static_cast<size_t>(label), units);
-  wc->total_load_partial->Add(units);
-  vertex.SendMessageToAllEdges(LabelMessage{vertex.id(), label});
-}
-
-void SpinnerProgram::ComputeScoresPhase(SpinnerHandle& vertex,
-                                        SpinnerWorkerContext* wc,
-                                        std::span<const LabelMessage> messages) {
-  auto& value = vertex.value();
-  auto& edges = vertex.mutable_edges();
-  value.is_candidate = false;
-
-  // (i) Fold neighbor label updates into edge values (§IV.A.2).
-  for (const LabelMessage& msg : messages) {
-    auto* edge = FindEdge(edges, msg.source, edges.size());
-    SPINNER_DCHECK(edge != nullptr)
-        << "message from non-neighbor " << msg.source;
-    if (edge != nullptr) edge->value.neighbor_label = msg.label;
-  }
-
-  if (value.weighted_degree == 0) return;  // isolated vertex: nothing to do
-
-  // (ii) Weighted label frequencies over the neighborhood (Eq. 4).
-  for (const auto& e : edges) {
-    const PartitionId l = e.value.neighbor_label;
-    SPINNER_DCHECK(l >= 0) << "neighbor label not yet propagated";
-    if (wc->freq[l] == 0) wc->touched.push_back(l);
-    wc->freq[l] += e.value.weight;
-  }
-
-  const PartitionId current = value.label;
-  const double inv_deg = 1.0 / static_cast<double>(value.weighted_degree);
-  const std::vector<double>& penalty =
-      config_.per_worker_async ? wc->async_penalty : wc->global_penalty;
-
-  // Normalized score with load penalty (Eq. 8); candidate labels are the
-  // neighborhood's labels plus the current one. Tie breaking is the
-  // deterministic order-independent draw shared with the sharded path.
-  const double current_score =
-      lpa::Score(wc->freq[current], inv_deg, penalty[current]);
-  const lpa::LabelChoice choice = lpa::PickLabelSparse(
-      wc->freq, wc->touched, current, current_score, inv_deg, penalty,
-      config_.seed, vertex.superstep(), vertex.id());
-
-  // (iii)+(iv) Aggregate the global score contribution and flag candidacy.
-  // The score uses the beginning-of-superstep global loads so that the
-  // halting signal is independent of worker count.
-  wc->score_partial->Add(
-      lpa::Score(wc->freq[current], inv_deg, wc->global_penalty[current]));
-  wc->local_weight_partial->Add(wc->freq[current]);
-
-  if (choice.better) {
-    value.is_candidate = true;
-    value.candidate = choice.label;
-    const int64_t units = LoadUnits(value);
-    wc->migrations_partial->Add(static_cast<size_t>(choice.label), units);
-    if (config_.per_worker_async) {
-      // §IV.A.4: later vertices on this worker see the would-be move.
-      wc->projected_loads[choice.label] += units;
-      wc->projected_loads[current] -= units;
-      // Same expression as lpa::FillPenalties, on the moved view.
-      for (const PartitionId l : {choice.label, current}) {
-        wc->async_penalty[l] =
-            wc->capacities[l] > 0
-                ? static_cast<double>(wc->projected_loads[l]) /
-                      wc->capacities[l]
-                : 0.0;
-      }
-    }
-  }
-
-  // Reset scratch in O(touched).
-  for (const PartitionId l : wc->touched) wc->freq[l] = 0;
-  wc->touched.clear();
-}
-
-void SpinnerProgram::ComputeMigrationsPhase(SpinnerHandle& vertex,
-                                            SpinnerWorkerContext* wc) {
-  auto& value = vertex.value();
-  if (!value.is_candidate) return;
-  value.is_candidate = false;
-
-  const auto target = static_cast<size_t>(value.candidate);
-  // Eq. 12–14 with b(l) frozen at the start of the iteration, as a lookup
-  // into the table PreSuperstep prepared.
-  if (!lpa::MigrationCoinAccepts(config_.seed, vertex.id(),
-                                 vertex.superstep(), wc->migrate_p[target])) {
-    return;  // migration deferred
-  }
-
-  const PartitionId old_label = value.label;
-  const int64_t units = LoadUnits(value);
-  value.label = value.candidate;
-  wc->loads_partial->Add(target, units);
-  wc->loads_partial->Add(static_cast<size_t>(old_label), -units);
-  wc->migrated_partial->Add(1);
-  vertex.SendMessageToAllEdges(LabelMessage{vertex.id(), value.label});
-}
-
-bool SpinnerProgram::MasterCompute(pregel::MasterContext& ctx) {
-  const Phase executed = phase_;
-  switch (executed) {
-    case kNeighborPropagation:
-      phase_ = kNeighborDiscovery;
-      break;
-    case kNeighborDiscovery:
-      phase_ = kInitialize;
-      break;
-    case kInitialize:
-      total_load_ = ctx.aggregators()
-                        .Get<pregel::LongSumAggregator>(kTotalLoadAgg)
-                        ->value();
-      phase_ = kComputeScores;
-      break;
-    case kComputeScores: {
-      ++iteration_;
-      const double n = static_cast<double>(ctx.num_vertices());
-      const double score =
-          n == 0 ? 0.0
-                 : ctx.aggregators()
-                           .Get<pregel::DoubleSumAggregator>(kScoreAgg)
-                           ->value() /
-                       n;
-      const bool observing = observer_ != nullptr && observer_->active();
-      if (config_.record_history || observing) {
-        IterationPoint pt;
-        pt.iteration = iteration_;
-        pt.score = score;
-        pt.migrations = last_migrations_;
-        const int64_t local = ctx.aggregators()
-                                  .Get<pregel::LongSumAggregator>(
-                                      kLocalWeightAgg)
-                                  ->value();
-        pt.phi = total_load_ == 0 ? 1.0
-                                  : static_cast<double>(local) /
-                                        static_cast<double>(total_load_);
-        const auto& loads = ctx.aggregators()
-                                .Get<pregel::VectorSumAggregator>(kLoadsAgg)
-                                ->values();
-        // rho relative to each partition's own ideal share (uniform for
-        // homogeneous systems, proportional for heterogeneous ones).
-        double weight_sum = 0.0;
-        for (double w : config_.partition_weights) weight_sum += w;
-        double rho = 0.0;
-        for (size_t l = 0; l < loads.size(); ++l) {
-          const double share =
-              config_.partition_weights.empty()
-                  ? 1.0 / static_cast<double>(config_.num_partitions)
-                  : config_.partition_weights[l] / weight_sum;
-          const double ideal = static_cast<double>(total_load_) * share;
-          if (ideal > 0) {
-            rho = std::max(rho, static_cast<double>(loads[l]) / ideal);
-          }
-        }
-        pt.rho = rho == 0.0 ? 1.0 : rho;
-        pt.loads = loads;
-        if (observing) {
-          // Observer decisions stop the run within this iteration.
-          bool keep_going = true;
-          if (observer_->on_iteration) keep_going = observer_->on_iteration(pt);
-          if (observer_->cancel != nullptr &&
-              observer_->cancel->IsCancelled()) {
-            keep_going = false;
-          }
-          if (!keep_going) cancelled_ = true;
-        }
-        if (config_.record_history) history_.push_back(std::move(pt));
-      }
-      if (cancelled_) return false;
-
-      // Halting heuristic (§III.C): a steady state is w consecutive
-      // iterations that each improve the normalized score by less than ε.
-      const double improvement = score - best_score_;
-      best_score_ = std::max(best_score_, score);
-      if (improvement < config_.halt_epsilon) {
-        ++low_improvement_streak_;
-      } else {
-        low_improvement_streak_ = 0;
-      }
-      const bool steady = config_.use_halting && iteration_ > 1 &&
-                          low_improvement_streak_ >= config_.halt_window;
-      if (steady) {
-        converged_ = true;
-        return false;
-      }
-      if (iteration_ >= config_.max_iterations) {
-        return false;
-      }
-      phase_ = kComputeMigrations;
-      break;
-    }
-    case kComputeMigrations:
-      last_migrations_ = ctx.aggregators()
-                             .Get<pregel::LongSumAggregator>(kMigratedAgg)
-                             ->value();
-      phase_ = kComputeScores;
-      break;
-  }
-  ctx.aggregators()
-      .Get<pregel::LongBroadcastAggregator>(kPhaseAgg)
-      ->set_value(static_cast<int64_t>(phase_));
-  return true;
+  return CsrGraph::FromEdges(n, arcs, weights);
 }
 
 }  // namespace spinner

@@ -1,166 +1,34 @@
-// SpinnerProgram: the paper's algorithm as a Pregel vertex program.
+// In-engine graph conversion: the paper's first two Pregel supersteps
+// (§IV.A.1), which turn the raw directed graph into the weighted
+// undirected one Spinner partitions (Eq. 3):
 //
-// Superstep phases (paper Fig. 2), sequenced by MasterCompute through a
-// broadcast aggregator:
+//   NeighborPropagation: every vertex sends its id along its out-edges;
+//   NeighborDiscovery:   a vertex v that hears from u learns the arc u→v.
+//                        If v also has v→u the pair is reciprocal (weight
+//                        2); otherwise v adds the reverse arc v→u with
+//                        weight 1, making the graph symmetric.
 //
-//   NeighborPropagation ─► NeighborDiscovery ─► Initialize ─►
-//        ┌───────────────────────────────────────────┐
-//        ▼                                           │
-//   ComputeScores ─► ComputeMigrations ──────────────┘
-//
-// The first two supersteps perform the directed→weighted-undirected
-// conversion in-engine (§IV.A.1) and are skipped when the caller provides a
-// pre-converted graph. One LPA iteration = ComputeScores +
-// ComputeMigrations (§IV.A.2–3). Halting is evaluated by the master after
-// every ComputeScores using the aggregated global score (§III.C).
+// The label-propagation supersteps that follow in the Giraph deployment
+// run on the shard-parallel driver (spinner/superstep_driver.h), which is
+// the one LPA loop for every execution substrate.
 #ifndef SPINNER_SPINNER_PROGRAM_H_
 #define SPINNER_SPINNER_PROGRAM_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "pregel/engine.h"
-#include "spinner/config.h"
-#include "spinner/observer.h"
-#include "spinner/types.h"
+#include "common/result.h"
+#include "graph/csr_graph.h"
+#include "pregel/stats.h"
 
 namespace spinner {
 
-/// Engine instantiation used by Spinner.
-using SpinnerEngine =
-    pregel::PregelEngine<SpinnerVertexValue, SpinnerEdgeValue, LabelMessage>;
-using SpinnerHandle =
-    pregel::VertexHandle<SpinnerVertexValue, SpinnerEdgeValue, LabelMessage>;
-
-/// Per-worker shared state (§IV.A.4): the projected partition loads updated
-/// asynchronously as candidates are discovered within the worker, plus
-/// cached aggregator pointers and scratch buffers that make a vertex
-/// computation allocation-free.
-class SpinnerWorkerContext : public pregel::WorkerContextBase {
- public:
-  /// Phase being executed this superstep.
-  int64_t phase = 0;
-  /// Per-partition capacities C_l (uniform c·|E|/k for homogeneous
-  /// systems, weighted for heterogeneous ones); valid from the first
-  /// ComputeScores on.
-  std::vector<double> capacities;
-  /// Global loads b(l) at the start of the superstep.
-  std::vector<int64_t> global_loads;
-  /// Worker-local projected loads (the asynchronous §IV.A.4 view).
-  std::vector<int64_t> projected_loads;
-  /// Migration counters m(l) (ComputeMigrations supersteps only).
-  std::vector<int64_t> migration_counts;
-  /// Per-label load penalties of Eq. 8 (lpa::FillPenalties), hoisted out
-  /// of the vertex loop: the frozen-global table, and the asynchronous
-  /// view's table maintained incrementally with projected_loads.
-  std::vector<double> global_penalty;
-  std::vector<double> async_penalty;
-  /// Per-label migration probabilities (Eq. 12–14,
-  /// lpa::FillMigrationProbabilities; ComputeMigrations supersteps only).
-  std::vector<double> migrate_p;
-
-  /// Scratch: per-label neighbor weight frequencies + touched-label list,
-  /// reset in O(labels touched) between vertices.
-  std::vector<int64_t> freq;
-  std::vector<PartitionId> touched;
-
-  /// Cached typed partial-aggregator pointers (valid for one superstep).
-  pregel::VectorSumAggregator* loads_partial = nullptr;
-  pregel::VectorSumAggregator* migrations_partial = nullptr;
-  pregel::DoubleSumAggregator* score_partial = nullptr;
-  pregel::LongSumAggregator* local_weight_partial = nullptr;
-  pregel::LongSumAggregator* migrated_partial = nullptr;
-  pregel::LongSumAggregator* total_load_partial = nullptr;
-};
-
-/// The Spinner vertex program. One instance drives one partitioning run.
-class SpinnerProgram : public pregel::VertexProgram<SpinnerVertexValue,
-                                                    SpinnerEdgeValue,
-                                                    LabelMessage> {
- public:
-  /// Phase identifiers broadcast through the "phase" aggregator.
-  enum Phase : int64_t {
-    kNeighborPropagation = 0,
-    kNeighborDiscovery = 1,
-    kInitialize = 2,
-    kComputeScores = 3,
-    kComputeMigrations = 4,
-  };
-
-  /// `initial_labels` has one entry per vertex: a fixed label in [0, k) for
-  /// incremental/elastic restarts, or kNoPartition to draw a uniform random
-  /// label at Initialize (partitioning from scratch).
-  /// `start_with_conversion` enables the NeighborPropagation/Discovery
-  /// supersteps (pass the raw *directed* graph to the engine then).
-  SpinnerProgram(const SpinnerConfig& config,
-                 std::vector<PartitionId> initial_labels,
-                 bool start_with_conversion);
-
-  /// Installs a per-iteration observer (not owned; may be null). Must be
-  /// set before the engine run starts.
-  void set_observer(const ProgressObserver* observer) {
-    observer_ = observer;
-  }
-
-  // --- VertexProgram interface -------------------------------------------
-  void RegisterAggregators(pregel::AggregatorRegistry* registry) override;
-  std::unique_ptr<pregel::WorkerContextBase> CreateWorkerContext() override;
-  void PreSuperstep(pregel::WorkerContextBase* wc,
-                    pregel::WorkerApi& api) override;
-  void Compute(SpinnerHandle& vertex,
-               std::span<const LabelMessage> messages) override;
-  bool MasterCompute(pregel::MasterContext& ctx) override;
-
-  // --- Results (valid after the engine run) ------------------------------
-  /// LPA iterations executed (ComputeScores supersteps).
-  int iterations() const { return iteration_; }
-  /// True iff the run halted via the score-convergence criterion rather
-  /// than the max_iterations cap.
-  bool converged() const { return converged_; }
-  /// True iff the run was stopped by the observer or cancellation token.
-  bool cancelled() const { return cancelled_; }
-  /// Per-iteration φ/ρ/score/migrations curves (paper Fig. 4).
-  const std::vector<IterationPoint>& history() const { return history_; }
-
-  /// Aggregator names (exposed for tests).
-  static constexpr const char* kPhaseAgg = "spinner.phase";
-  static constexpr const char* kLoadsAgg = "spinner.loads";
-  static constexpr const char* kMigrationsAgg = "spinner.migrations";
-  static constexpr const char* kTotalLoadAgg = "spinner.total_load";
-  static constexpr const char* kScoreAgg = "spinner.score";
-  static constexpr const char* kLocalWeightAgg = "spinner.local_weight";
-  static constexpr const char* kMigratedAgg = "spinner.migrated";
-
- private:
-  /// The load contribution of a vertex under the configured balance mode:
-  /// its weighted degree (edges) or 1 (vertices).
-  int64_t LoadUnits(const SpinnerVertexValue& value) const;
-
-  void ComputeNeighborPropagation(SpinnerHandle& vertex);
-  void ComputeNeighborDiscovery(SpinnerHandle& vertex,
-                                std::span<const LabelMessage> messages);
-  void ComputeInitialize(SpinnerHandle& vertex, SpinnerWorkerContext* wc);
-  void ComputeScoresPhase(SpinnerHandle& vertex, SpinnerWorkerContext* wc,
-                          std::span<const LabelMessage> messages);
-  void ComputeMigrationsPhase(SpinnerHandle& vertex,
-                              SpinnerWorkerContext* wc);
-
-  SpinnerConfig config_;
-  std::vector<PartitionId> initial_labels_;
-  Phase phase_;
-  const ProgressObserver* observer_ = nullptr;
-
-  // Master-side convergence tracking.
-  int iteration_ = 0;
-  bool converged_ = false;
-  bool cancelled_ = false;
-  double best_score_ = -1e300;
-  int low_improvement_streak_ = 0;
-  int64_t total_load_ = 0;
-  int64_t last_migrations_ = 0;
-  std::vector<IterationPoint> history_;
-};
+/// Runs NeighborPropagation and NeighborDiscovery on the Pregel engine
+/// over `raw_directed` with `num_workers` hash-placed workers and returns
+/// exactly what ConvertToWeightedUndirected returns for the same arcs:
+/// self-loops and duplicate arcs are dropped and every undirected edge
+/// becomes two arcs of equal weight ∈ {1,2}. The result does not depend on
+/// `num_workers`. `stats`, when non-null, receives the engine statistics
+/// of the two supersteps.
+Result<CsrGraph> ConvertInEngine(const CsrGraph& raw_directed,
+                                 int num_workers, pregel::RunStats* stats);
 
 }  // namespace spinner
 

@@ -1,7 +1,7 @@
-// The shard-parallel execution of Spinner's iteration loop: the same
-// superstep phases as SpinnerProgram (Initialize ─► ComputeScores ─►
+// The shard-parallel execution of Spinner's iteration loop: the paper's
+// Pregel superstep phases (Initialize ─► ComputeScores ─►
 // ComputeMigrations, §IV.A.2–4), run directly over a ShardedGraphStore on
-// a ThreadPool instead of through the Pregel engine. Each phase is dealt
+// a ThreadPool. Each phase is dealt
 // out block-by-block through a work-stealing scheduler
 // (spinner/steal_schedule.h), so skewed shards never serialize a
 // superstep; between supersteps the driver merges per-shard
@@ -21,9 +21,8 @@
 //    vertex) through the shared lpa kernel.
 //
 // This is the execution path behind SpinnerPartitioner and
-// PartitioningSession for pre-converted graphs; the Pregel engine remains
-// the substrate for in-engine conversion runs (§IV.A.1) and the Pregel
-// app suite.
+// PartitioningSession; the Pregel engine runs only the §IV.A.1 conversion
+// supersteps (spinner/program.h) and the Pregel app suite.
 #ifndef SPINNER_SPINNER_SHARDED_PROGRAM_H_
 #define SPINNER_SPINNER_SHARDED_PROGRAM_H_
 
@@ -130,9 +129,9 @@ int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices);
 int ResolveNumThreads(const SpinnerConfig& config, int num_shards);
 
 /// Runs Spinner label propagation shard-parallel over `store` on `pool`.
-/// `initial_labels` follows SpinnerProgram's contract: one fixed label per
-/// vertex for incremental/elastic restarts, kNoPartition entries (or a
-/// shorter vector) draw a uniform random label at Initialize. On success
+/// `initial_labels` holds one fixed label per vertex for
+/// incremental/elastic restarts; kNoPartition entries (or a shorter
+/// vector) draw a uniform random label at Initialize. On success
 /// store->labels() holds the final assignment and every shard's load
 /// counters are consistent with it. `observer` may be null.
 Result<ShardedRunResult> RunShardedSpinner(

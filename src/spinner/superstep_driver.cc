@@ -118,8 +118,8 @@ Result<ShardedRunResult> DriveSpinnerSupersteps(
     const double score = score_total / static_cast<double>(n);
     FinishStep(std::move(ss), step_timer, /*messages=*/0);
 
-    // --- Master logic after ComputeScores, mirroring
-    // SpinnerProgram::MasterCompute exactly.
+    // --- Master logic after ComputeScores: history, observer and the
+    // §III.C halting heuristic.
     if (config.record_history || observing) {
       IterationPoint pt;
       pt.iteration = iteration;

@@ -116,6 +116,18 @@ TEST(ErdosRenyiTest, CompleteGraphBoundary) {
   EXPECT_FALSE(ErdosRenyi(5, 11, 1).ok());  // over the maximum
 }
 
+TEST(ErdosRenyiTest, WideVertexIdsDoNotOverflowOrCollide) {
+  // n(n-1)/2 overflows int64 for n this large, and ids above 2^32 do not
+  // fit a packed 32-bit pair key.
+  const int64_t n = int64_t{1} << 33;
+  auto g = ErdosRenyi(n, 1000, 5);
+  ASSERT_TRUE(g.ok()) << g.status();
+  ASSERT_EQ(g->edges.size(), 1000u);
+  EXPECT_TRUE(EdgesInRange(g->edges, n));
+  EXPECT_TRUE(NoSelfLoops(g->edges));
+  EXPECT_TRUE(NoDuplicateUndirected(g->edges));
+}
+
 TEST(RMatTest, SizeSkewAndDeterminism) {
   auto g = RMat(10, 8, 0.57, 0.19, 0.19, 13);
   ASSERT_TRUE(g.ok());

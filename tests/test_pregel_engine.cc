@@ -199,52 +199,6 @@ TEST(PregelEngineTest, AggregatedValuesVisibleNextSuperstep) {
   });
 }
 
-// --- Worker context -------------------------------------------------------
-
-class CountingContext : public WorkerContextBase {
- public:
-  int64_t local_count = 0;
-};
-
-struct WcVertex {
-  int64_t worker_total = -1;
-};
-
-class WorkerContextProgram : public VertexProgram<WcVertex, char, char> {
- public:
-  std::unique_ptr<WorkerContextBase> CreateWorkerContext() override {
-    return std::make_unique<CountingContext>();
-  }
-  void Compute(VertexHandle<WcVertex, char, char>& v,
-               std::span<const char>) override {
-    auto* ctx = static_cast<CountingContext*>(v.worker_context());
-    if (v.superstep() == 0) {
-      ++ctx->local_count;  // shared mutable state within the worker
-    } else {
-      v.value().worker_total = ctx->local_count;
-      v.VoteToHalt();
-    }
-  }
-  bool MasterCompute(MasterContext& ctx) override {
-    return ctx.superstep() < 1;
-  }
-};
-
-TEST(PregelEngineTest, WorkerContextSharedWithinWorker) {
-  CsrGraph g = RingGraph(20);
-  const int workers = 4;
-  auto engine = MakeEngine<WcVertex, char, char>(g, workers);
-  WorkerContextProgram program;
-  engine.Run(program);
-  // Each vertex must have seen exactly the number of vertices its worker
-  // owns.
-  std::vector<int64_t> owned(workers, 0);
-  for (VertexId v = 0; v < 20; ++v) ++owned[engine.WorkerOf(v)];
-  engine.ForEachVertex([&](VertexId v, const WcVertex& val) {
-    EXPECT_EQ(val.worker_total, owned[engine.WorkerOf(v)]);
-  });
-}
-
 // --- Statistics ------------------------------------------------------------
 
 class BroadcastProgram : public VertexProgram<RecvVertex, char, int64_t> {

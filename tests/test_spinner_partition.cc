@@ -200,10 +200,28 @@ TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
   auto a = offline.PartitionDirected(rmat->num_vertices, rmat->edges);
   auto b = in_engine.PartitionDirected(rmat->num_vertices, rmat->edges);
   ASSERT_TRUE(a.ok() && b.ok());
-  // Different random streams (superstep offset), same algorithm: the
-  // quality must match closely even though assignments differ.
-  EXPECT_NEAR(a->metrics.phi, b->metrics.phi, 0.1);
-  EXPECT_NEAR(a->metrics.rho, b->metrics.rho, 0.1);
+  // Both conversions build the same graph, which then runs the same LPA
+  // loop: the run is identical, plus the two conversion supersteps.
+  EXPECT_EQ(a->assignment, b->assignment);
+  EXPECT_EQ(a->metrics.phi, b->metrics.phi);
+  EXPECT_EQ(a->metrics.rho, b->metrics.rho);
+  EXPECT_EQ(a->iterations, b->iterations);
+  ASSERT_EQ(a->history.size(), b->history.size());
+  for (size_t i = 0; i < a->history.size(); ++i) {
+    EXPECT_EQ(a->history[i].iteration, b->history[i].iteration) << i;
+    EXPECT_EQ(a->history[i].score, b->history[i].score) << i;
+    EXPECT_EQ(a->history[i].phi, b->history[i].phi) << i;
+    EXPECT_EQ(a->history[i].rho, b->history[i].rho) << i;
+    EXPECT_EQ(a->history[i].migrations, b->history[i].migrations) << i;
+    EXPECT_EQ(a->history[i].loads, b->history[i].loads) << i;
+  }
+  EXPECT_EQ(b->run_stats.supersteps, a->run_stats.supersteps + 2);
+  ASSERT_EQ(b->run_stats.per_superstep.size(),
+            a->run_stats.per_superstep.size() + 2);
+  for (size_t i = 0; i < b->run_stats.per_superstep.size(); ++i) {
+    EXPECT_EQ(b->run_stats.per_superstep[i].superstep,
+              static_cast<int64_t>(i));
+  }
 }
 
 TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {

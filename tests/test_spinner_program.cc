@@ -1,125 +1,98 @@
-// SpinnerProgram internals: the in-engine conversion phases must reproduce
-// the offline conversion exactly, initialization must respect provided
-// labels and aggregate loads correctly, and the per-iteration history must
-// reflect a hill-climbing run.
+// The in-engine conversion supersteps must reproduce the offline
+// conversion exactly, and the LPA loop every entry point shares must
+// start from provided labels and record a hill-climbing history.
 #include "spinner/program.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-
 #include "graph/conversion.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
-#include "pregel/topology.h"
 #include "spinner/partitioner.h"
 
 namespace spinner {
 namespace {
 
-/// Runs SpinnerProgram on the raw directed graph with in-engine conversion
-/// and returns each vertex's final (target, weight) edge set.
-std::map<VertexId, std::vector<std::pair<VertexId, EdgeWeight>>>
-RunInEngineConversion(int64_t n, const EdgeList& directed, int k) {
+/// Converts `directed` on the engine with several worker counts, checks
+/// every result equals ConvertToWeightedUndirected of the same arcs, and
+/// returns that conversion.
+CsrGraph ConvertBothWays(int64_t n, const EdgeList& directed) {
+  auto offline = ConvertToWeightedUndirected(n, directed);
+  SPINNER_CHECK(offline.ok());
   auto raw = CsrGraph::FromEdges(n, directed);
   SPINNER_CHECK(raw.ok());
-  pregel::EngineConfig config;
-  config.num_workers = 3;
-  SpinnerEngine engine(
-      *raw, config, pregel::HashPlacement(3),
-      [](VertexId) { return SpinnerVertexValue{}; },
-      [](VertexId, VertexId, EdgeWeight w) {
-        return SpinnerEdgeValue{w, kNoPartition};
-      });
-  SpinnerConfig sc;
-  sc.num_partitions = k;
-  sc.max_iterations = 1;
-  sc.use_halting = false;
-  SpinnerProgram program(sc, std::vector<PartitionId>(n, kNoPartition),
-                         /*start_with_conversion=*/true);
-  engine.Run(program);
-
-  std::map<VertexId, std::vector<std::pair<VertexId, EdgeWeight>>> result;
-  for (VertexId v = 0; v < n; ++v) {
-    for (const auto& e : engine.EdgesOf(v)) {
-      result[v].emplace_back(e.target, e.value.weight);
-    }
-    std::sort(result[v].begin(), result[v].end());
+  for (int workers : {1, 3, 8}) {
+    pregel::RunStats stats;
+    auto in_engine = ConvertInEngine(*raw, workers, &stats);
+    EXPECT_TRUE(in_engine.ok()) << in_engine.status();
+    if (!in_engine.ok()) continue;
+    EXPECT_TRUE(*in_engine == *offline) << workers << " workers";
+    EXPECT_EQ(stats.supersteps, 2);
   }
-  return result;
+  return std::move(offline).value();
 }
 
 TEST(SpinnerConversionTest, InEngineMatchesOfflineConversion) {
   auto rmat = RMat(7, 6, 0.5, 0.2, 0.2, /*seed=*/3);
   ASSERT_TRUE(rmat.ok());
+  // Two extra vertices: `isolated` has no arcs, `sink` only incoming ones.
+  const VertexId isolated = rmat->num_vertices;
+  const VertexId sink = rmat->num_vertices + 1;
   EdgeList directed = rmat->edges;
+  directed.push_back({0, sink});
+  directed.push_back({5, sink});
+  // The raw list, self-loops and repeated arcs included...
+  ConvertBothWays(sink + 1, directed);
+  // ...and the deduplicated one PartitionDirected converts.
   RemoveSelfLoops(&directed);
   SortAndDedup(&directed);
-
-  auto offline = ConvertToWeightedUndirected(rmat->num_vertices, directed);
-  ASSERT_TRUE(offline.ok());
-  auto in_engine = RunInEngineConversion(rmat->num_vertices, directed, 4);
-
-  for (VertexId v = 0; v < rmat->num_vertices; ++v) {
-    auto nbrs = offline->Neighbors(v);
-    auto wts = offline->Weights(v);
-    const auto& got = in_engine[v];
-    ASSERT_EQ(got.size(), nbrs.size()) << "vertex " << v;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      EXPECT_EQ(got[i].first, nbrs[i]) << "vertex " << v;
-      EXPECT_EQ(got[i].second, wts[i]) << "vertex " << v;
-    }
-  }
+  const CsrGraph converted = ConvertBothWays(sink + 1, directed);
+  EXPECT_EQ(converted.OutDegree(isolated), 0);
+  EXPECT_EQ(converted.OutDegree(sink), 2);
 }
 
 TEST(SpinnerConversionTest, ReciprocalPairGetsWeightTwoBothSides) {
-  auto edges = RunInEngineConversion(2, {{0, 1}, {1, 0}}, 2);
-  ASSERT_EQ(edges[0].size(), 1u);
-  ASSERT_EQ(edges[1].size(), 1u);
-  EXPECT_EQ(edges[0][0], (std::pair<VertexId, EdgeWeight>{1, 2}));
-  EXPECT_EQ(edges[1][0], (std::pair<VertexId, EdgeWeight>{0, 2}));
+  // Vertex 2 is isolated; vertex 3 only has an incoming arc.
+  const CsrGraph g = ConvertBothWays(4, {{0, 1}, {1, 0}, {0, 3}});
+  ASSERT_EQ(g.OutDegree(1), 1);
+  EXPECT_EQ(g.Neighbors(1)[0], 0);
+  EXPECT_EQ(g.Weights(1)[0], 2u);
+  EXPECT_EQ(g.OutDegree(2), 0);
+  ASSERT_EQ(g.OutDegree(0), 2);
+  EXPECT_EQ(g.Neighbors(0)[0], 1);
+  EXPECT_EQ(g.Weights(0)[0], 2u);
 }
 
 TEST(SpinnerConversionTest, SingleDirectionCreatesReverseWeightOne) {
-  auto edges = RunInEngineConversion(2, {{0, 1}}, 2);
-  ASSERT_EQ(edges[0].size(), 1u);
-  ASSERT_EQ(edges[1].size(), 1u);  // reverse edge materialized
-  EXPECT_EQ(edges[0][0], (std::pair<VertexId, EdgeWeight>{1, 1}));
-  EXPECT_EQ(edges[1][0], (std::pair<VertexId, EdgeWeight>{0, 1}));
+  // Vertex 2 is isolated; vertex 3 only has an incoming arc.
+  const CsrGraph g = ConvertBothWays(4, {{0, 1}, {0, 3}});
+  ASSERT_EQ(g.OutDegree(1), 1);  // reverse arc materialized
+  EXPECT_EQ(g.Neighbors(1)[0], 0);
+  EXPECT_EQ(g.Weights(1)[0], 1u);
+  ASSERT_EQ(g.OutDegree(3), 1);
+  EXPECT_EQ(g.Neighbors(3)[0], 0);
+  EXPECT_EQ(g.Weights(3)[0], 1u);
+  EXPECT_EQ(g.OutDegree(2), 0);
 }
 
 TEST(SpinnerProgramTest, InitializationRespectsProvidedLabels) {
   auto ring = Ring(8);
   auto g = BuildSymmetric(ring.num_vertices, ring.edges);
   ASSERT_TRUE(g.ok());
-  pregel::EngineConfig config;
-  config.num_workers = 2;
-  SpinnerEngine engine(
-      *g, config, pregel::HashPlacement(2),
-      [](VertexId) { return SpinnerVertexValue{}; },
-      [](VertexId, VertexId, EdgeWeight w) {
-        return SpinnerEdgeValue{w, kNoPartition};
-      });
   SpinnerConfig sc;
   sc.num_partitions = 4;
   sc.max_iterations = 1;  // stop right after the first ComputeScores
   sc.use_halting = false;
-  std::vector<PartitionId> fixed = {3, 3, 2, 2, 1, 1, 0, 0};
-  SpinnerProgram program(sc, fixed, /*start_with_conversion=*/false);
-  engine.Run(program);
+  const std::vector<PartitionId> fixed = {3, 3, 2, 2, 1, 1, 0, 0};
+  auto result = SpinnerPartitioner(sc).Repartition(*g, fixed);
+  ASSERT_TRUE(result.ok());
 
   // After Initialize + one ComputeScores (no migrations yet), labels are
-  // exactly the provided ones and the loads aggregator reflects them.
-  engine.ForEachVertex([&](VertexId v, const SpinnerVertexValue& val) {
-    EXPECT_EQ(val.label, fixed[v]);
-    EXPECT_EQ(val.weighted_degree, 2);
-  });
-  const auto& loads =
-      engine.aggregators()
-          .Get<pregel::VectorSumAggregator>(SpinnerProgram::kLoadsAgg)
-          ->values();
-  EXPECT_EQ(loads, (std::vector<int64_t>{4, 4, 4, 4}));
+  // exactly the provided ones and the loads reflect them.
+  EXPECT_EQ(result->assignment, fixed);
+  ASSERT_FALSE(result->history.empty());
+  EXPECT_EQ(result->history.front().loads,
+            (std::vector<int64_t>{4, 4, 4, 4}));
 }
 
 TEST(SpinnerProgramTest, HistoryTracksHillClimb) {
