@@ -33,7 +33,7 @@ void Run() {
   for (bool async : {true, false}) {
     SpinnerConfig config;
     config.num_partitions = k;
-    config.num_workers = 8;
+    config.execution.num_shards = 8;
     config.per_worker_async = async;
     SpinnerPartitioner partitioner(config);
     auto result = partitioner.Partition(g);

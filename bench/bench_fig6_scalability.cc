@@ -55,15 +55,18 @@ const CsrGraph& CachedWsGraph(int64_t n) {
 
 /// Runs two LPA iterations and returns the wall time of the first full
 /// iteration (supersteps 1 and 2: the first ComputeScores and
-/// ComputeMigrations after Initialize). `shards` maps to num_shards of
-/// the sharded substrate (0 = auto).
-double FirstIterationSeconds(const CsrGraph& g, int k, int workers,
-                             int shards = 0, int processes = 0) {
+/// ComputeMigrations after Initialize). `shards` is the sharded store's
+/// shard count (0 = auto); `processes` > 0 runs the supersteps on that
+/// many forked worker processes.
+double FirstIterationSeconds(const CsrGraph& g, int k, int shards = 0,
+                             int processes = 0) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = workers;
-  config.num_shards = shards;
-  config.num_processes = processes;
+  config.execution.num_shards = shards;
+  if (processes > 0) {
+    config.execution.mode = ExecutionMode::kMultiProcess;
+    config.execution.num_workers = processes;
+  }
   config.max_iterations = 2;
   config.use_halting = false;
   config.record_history = false;
@@ -79,7 +82,7 @@ void BM_IterationTime_GraphSize(benchmark::State& state) {
   const int64_t n = state.range(0);
   const CsrGraph& g = CachedWsGraph(n);
   for (auto _ : state) {
-    state.SetIterationTime(FirstIterationSeconds(g, 64, 0));
+    state.SetIterationTime(FirstIterationSeconds(g, 64));
   }
   state.counters["vertices"] = static_cast<double>(n);
   state.counters["arcs"] = static_cast<double>(g.NumArcs());
@@ -89,6 +92,7 @@ void BM_IterationTime_Workers(benchmark::State& state, int64_t n) {
   const int workers = static_cast<int>(state.range(0));
   const CsrGraph& g = CachedWsGraph(n);
   for (auto _ : state) {
+    // One simulated machine per shard.
     state.SetIterationTime(FirstIterationSeconds(g, 64, workers));
   }
   state.counters["workers"] = workers;
@@ -98,7 +102,7 @@ void BM_IterationTime_Partitions(benchmark::State& state, int64_t n) {
   const int k = static_cast<int>(state.range(0));
   const CsrGraph& g = CachedWsGraph(n);
   for (auto _ : state) {
-    state.SetIterationTime(FirstIterationSeconds(g, k, 0));
+    state.SetIterationTime(FirstIterationSeconds(g, k));
   }
   state.counters["k"] = k;
 }
@@ -107,8 +111,7 @@ void BM_IterationTime_Shards(benchmark::State& state, int64_t n) {
   const int shards = static_cast<int>(state.range(0));
   const CsrGraph& g = CachedWsGraph(n);
   for (auto _ : state) {
-    state.SetIterationTime(
-        FirstIterationSeconds(g, 64, /*workers=*/0, shards));
+    state.SetIterationTime(FirstIterationSeconds(g, 64, shards));
   }
   state.counters["shards"] = shards;
 }
@@ -117,8 +120,8 @@ void BM_IterationTime_Processes(benchmark::State& state, int64_t n) {
   const int processes = static_cast<int>(state.range(0));
   const CsrGraph& g = CachedWsGraph(n);
   for (auto _ : state) {
-    state.SetIterationTime(FirstIterationSeconds(
-        g, 64, /*workers=*/0, /*shards=*/0, processes));
+    state.SetIterationTime(
+        FirstIterationSeconds(g, 64, /*shards=*/0, processes));
   }
   state.counters["processes"] = processes;
 }
@@ -132,11 +135,12 @@ void PrintWireReport(int64_t n) {
   for (const int processes : {1, 2}) {
     SpinnerConfig config;
     config.num_partitions = 64;
-    config.num_processes = processes;
+    config.execution.mode = ExecutionMode::kMultiProcess;
+    config.execution.num_workers = processes;
     // Pin the shard count so the reported boundary sizes and byte counts
     // are comparable across runners (auto-resolution follows the host's
     // core count).
-    config.num_shards = 8;
+    config.execution.num_shards = 8;
     config.max_iterations = 3;
     config.use_halting = false;
     config.record_history = false;

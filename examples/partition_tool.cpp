@@ -22,17 +22,17 @@
 //   ./partition_tool worker --connect=127.0.0.1:7077 --store=/tmp/w0 &
 //   ./partition_tool worker --connect=127.0.0.1:7077 --store=/tmp/w1 &
 //   ./partition_tool worker --connect=127.0.0.1:7077 --store=/tmp/w2 &
-//   ./partition_tool partition --input=edges.txt --k=32
+//   ./partition_tool partition --input=edges.txt --k=32 --shards=3
 //       --transport=tcp --listen=127.0.0.1:7077 --workers=3
 //
 // Execution-shape flags (shared by partition/adapt/rescale/serve; none of
 // them changes results): --shards, --threads, --transport=
 // inprocess|multiprocess|tcp, --workers (worker processes for the
-// off-thread transports), --processes (legacy spelling of
-// "--transport=multiprocess --workers=N"), --listen (tcp coordinator
-// bind address), --store-dir (forked workers' persistent shard store),
+// off-thread transports), --listen (tcp coordinator bind address),
+// --store-dir (forked workers' persistent shard store),
 // --wire-max-payload (frame payload ceiling in bytes; larger messages
-// stream across chunk frames).
+// stream across chunk frames). A flag the subcommand does not use (a typo,
+// or --workers without an off-thread transport) exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -85,8 +85,8 @@ constexpr const char* kCommonFlags =
     "  --transport=inprocess|multiprocess|tcp\n"
     "                       where the shard workers run (default "
     "inprocess)\n"
-    "  --workers=N          worker processes (required for tcp)\n"
-    "  --processes=N        legacy: --transport=multiprocess --workers=N\n"
+    "  --workers=N          multiprocess/tcp: worker processes (required "
+    "for tcp)\n"
     "  --listen=HOST:PORT   tcp: coordinator bind address (default "
     "127.0.0.1:0)\n"
     "  --store-dir=DIR      forked workers: persistent shard store root\n"
@@ -170,6 +170,20 @@ int Usage() {
   return 2;
 }
 
+/// Exit code 2 with one line per flag on the command line that the
+/// subcommand never read (a typo, or a flag the chosen options ignore);
+/// 0 when every flag was used. Call after reading all flags.
+int RejectUnreadFlags(const CommandLine& cli, const Subcommand& sub) {
+  const std::vector<std::string> unread = cli.UnreadFlags();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr,
+                 "error: flag --%s is not used by `partition_tool %s` with "
+                 "these flags (see --help)\n",
+                 name.c_str(), sub.name);
+  }
+  return unread.empty() ? 0 : 2;
+}
+
 int Help(const Subcommand& sub) {
   std::fprintf(stderr, "%s", sub.help);
   if (std::string(sub.name) == "partition" ||
@@ -208,27 +222,21 @@ PartitionerOptions OptionsFrom(const CommandLine& cli) {
       static_cast<uint64_t>(cli.GetInt("stream-seed", 0));
   options.spinner.num_partitions = static_cast<int>(cli.GetInt("k", 32));
   options.spinner.additional_capacity = cli.GetDouble("c", 1.05);
-  options.spinner.num_workers = static_cast<int>(cli.GetInt("workers", 0));
-  // Execution shape: shards of the graph store and OS threads driving
-  // them. Pure parallelism knobs — the computed partitioning is identical
-  // for every choice.
-  options.execution.num_shards =
-      static_cast<int>(cli.GetInt("shards", 0));
-  options.execution.num_threads =
-      static_cast<int>(cli.GetInt("threads", 0));
-  options.num_processes = static_cast<int>(cli.GetInt("processes", 0));
+  // Execution shape: shards of the graph store, OS threads driving them,
+  // and where the shard workers run. Pure parallelism knobs — the
+  // computed partitioning is identical for every choice.
+  ExecutionOptions& execution = options.spinner.execution;
+  execution.num_shards = static_cast<int>(cli.GetInt("shards", 0));
+  execution.num_threads = static_cast<int>(cli.GetInt("threads", 0));
   const std::string transport = cli.GetString("transport", "inprocess");
   if (transport == "multiprocess") {
-    options.execution.mode = ExecutionMode::kMultiProcess;
-    options.execution.num_workers =
-        static_cast<int>(cli.GetInt("workers", 0));
+    execution.mode = ExecutionMode::kMultiProcess;
+    execution.num_workers = static_cast<int>(cli.GetInt("workers", 0));
   } else if (transport == "tcp") {
-    options.execution.mode = ExecutionMode::kTcp;
-    options.execution.num_workers =
-        static_cast<int>(cli.GetInt("workers", 0));
-    options.execution.listen_address =
-        cli.GetString("listen", "127.0.0.1:0");
-    options.execution.handshake_timeout_ms =
+    execution.mode = ExecutionMode::kTcp;
+    execution.num_workers = static_cast<int>(cli.GetInt("workers", 0));
+    execution.listen_address = cli.GetString("listen", "127.0.0.1:0");
+    execution.handshake_timeout_ms =
         cli.GetInt("handshake-timeout-ms", 30'000);
   } else if (transport != "inprocess") {
     std::fprintf(stderr,
@@ -237,12 +245,12 @@ PartitionerOptions OptionsFrom(const CommandLine& cli) {
                  transport.c_str());
     std::exit(2);
   }
-  options.execution.worker_store_dir = cli.GetString("store-dir", "");
+  execution.worker_store_dir = cli.GetString("store-dir", "");
   // Failure detection/recovery knobs (cross-process transports only; the
   // in-process path ignores them). Defaults match ExecutionOptions.
-  options.execution.rpc_timeout_ms = cli.GetInt("rpc-timeout-ms", 120'000);
-  options.execution.heartbeat_period_ms = cli.GetInt("heartbeat-ms", 1'000);
-  options.execution.max_recovery_attempts =
+  execution.rpc_timeout_ms = cli.GetInt("rpc-timeout-ms", 120'000);
+  execution.heartbeat_period_ms = cli.GetInt("heartbeat-ms", 1'000);
+  execution.max_recovery_attempts =
       static_cast<int>(cli.GetInt("recover", 0));
   // Cross-process transport: frame payload ceiling in bytes; larger
   // messages stream across chunk frames (0 = transport default). The
@@ -256,8 +264,7 @@ PartitionerOptions OptionsFrom(const CommandLine& cli) {
                  static_cast<long long>(wire_max_payload));
     std::exit(2);
   }
-  options.execution.wire_max_payload =
-      static_cast<uint64_t>(wire_max_payload);
+  execution.wire_max_payload = static_cast<uint64_t>(wire_max_payload);
   if (cli.GetString("balance", "edges") == "vertices") {
     options.spinner.balance_mode = BalanceMode::kVertices;
     options.balance_on_edges = false;
@@ -311,7 +318,7 @@ Result<int> PolicyTargetK(const std::string& spec, const CsrGraph& g,
   return k;
 }
 
-int RunWorker(const CommandLine& cli) {
+int RunWorker(const CommandLine& cli, const Subcommand& sub) {
   const std::string connect = cli.GetString("connect", "");
   if (connect.empty()) {
     std::fprintf(stderr, "error: worker requires --connect=HOST:PORT\n");
@@ -332,6 +339,7 @@ int RunWorker(const CommandLine& cli) {
     std::fprintf(stderr, "error: --capacity must be >= 1\n");
     return 2;
   }
+  if (const int code = RejectUnreadFlags(cli, sub); code != 0) return code;
   return dist::RunTcpWorker(
       connect,
       dist::TransportOptions::Resolve(
@@ -339,7 +347,7 @@ int RunWorker(const CommandLine& cli) {
       loop);
 }
 
-int RunServe(const CommandLine& cli) {
+int RunServe(const CommandLine& cli, const Subcommand& sub) {
   // Long-lived mode: partition --input once, then keep the partitioning
   // maintained against an edge stream read from stdin, one event per
   // line ("add U V" | "remove U V" | "vertices N"; '#' comments). Ids
@@ -347,14 +355,16 @@ int RunServe(const CommandLine& cli) {
   // EOF drains the stream, reports, and writes --out.
   const std::string input = cli.GetString("input", "");
   if (input.empty()) return Usage();
+  const PartitionerOptions options = OptionsFrom(cli);
+  const int64_t watermark = cli.GetInt("watermark", 256);
+  const std::string checkpoint = cli.GetString("checkpoint", "");
+  const std::string out = cli.GetString("out", "");
+  if (const int code = RejectUnreadFlags(cli, sub); code != 0) return code;
   auto edges = graph_io::ReadEdgeList(input);
   if (!edges.ok()) return Fail(edges.status());
   const int64_t n = MaxVertexId(*edges) + 1;
-  const PartitionerOptions options = OptionsFrom(cli);
 
-  SessionOptions session_options;
-  session_options.execution = options.execution;
-  PartitioningSession session(options.spinner, session_options);
+  PartitioningSession session(options.spinner);
   Status opened = session.Open(n, std::move(*edges), /*directed=*/true);
   if (!opened.ok()) return Fail(opened);
   std::printf("serving: |V|=%lld |E|=%zu k=%d phi=%.4f rho=%.4f\n",
@@ -364,9 +374,8 @@ int RunServe(const CommandLine& cli) {
               session.last_result().metrics.rho);
 
   stream::IngestionOptions ingest;
-  ingest.policy = std::make_unique<stream::EventCountPolicy>(
-      cli.GetInt("watermark", 256));
-  ingest.checkpoint_base_path = cli.GetString("checkpoint", "");
+  ingest.policy = std::make_unique<stream::EventCountPolicy>(watermark);
+  ingest.checkpoint_base_path = checkpoint;
   ingest.on_apply = [](const stream::IngestStats& stats) {
     std::printf("window %lld: %lld events in (%lld coalesced away) "
                 "phi=%.4f rho=%.4f apply=%.1fms staleness=%.1fms\n",
@@ -422,7 +431,6 @@ int RunServe(const CommandLine& cli) {
               static_cast<long long>(session.num_vertices()),
               session.edges().size(), session.last_result().metrics.phi,
               session.last_result().metrics.rho);
-  const std::string out = cli.GetString("out", "");
   if (!out.empty()) {
     Status s = graph_io::WritePartitioning(out, session.assignment());
     if (!s.ok()) return Fail(s);
@@ -450,11 +458,12 @@ int main(int argc, char** argv) {
     // Deterministic Watts-Strogatz edge list (the paper's scalability
     // substrate) — lets CI scripts smoke-test the tool with no fixture.
     const std::string out = cli.GetString("out", "");
+    const int64_t vertices = cli.GetInt("vertices", 5000);
+    const int degree = static_cast<int>(cli.GetInt("degree", 6));
+    const auto seed = static_cast<uint64_t>(cli.GetInt("seed", 42));
+    if (const int code = RejectUnreadFlags(cli, *sub); code != 0) return code;
     if (out.empty()) { Help(*sub); return 2; }
-    auto generated = WattsStrogatz(
-        cli.GetInt("vertices", 5000),
-        static_cast<int>(cli.GetInt("degree", 6)) / 2, 0.3,
-        static_cast<uint64_t>(cli.GetInt("seed", 42)));
+    auto generated = WattsStrogatz(vertices, degree / 2, 0.3, seed);
     if (!generated.ok()) return Fail(generated.status());
     Status s = graph_io::WriteEdgeList(out, generated->edges);
     if (!s.ok()) return Fail(s);
@@ -465,6 +474,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "list") {
+    if (const int code = RejectUnreadFlags(cli, *sub); code != 0) return code;
     for (const std::string& name : PartitionerRegistry::Names()) {
       auto p = PartitionerRegistry::Create(name);
       std::printf("%-12s%s%s\n", name.c_str(),
@@ -474,10 +484,36 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "worker") return RunWorker(cli);
-  if (command == "serve") return RunServe(cli);
+  if (command == "worker") return RunWorker(cli, *sub);
+  if (command == "serve") return RunServe(cli, *sub);
 
+  // partition / adapt / rescale / metrics: read every flag before the
+  // (possibly large) input is loaded, so a typo fails fast.
   const std::string input = cli.GetString("input", "");
+  const std::string out = cli.GetString("out", "");
+  const PartitionerOptions options = OptionsFrom(cli);
+  const int k = options.spinner.num_partitions;
+  const double c = options.spinner.additional_capacity;
+  const std::string partitioner_name =
+      cli.GetString("partitioner", "spinner");
+  std::string previous_path;
+  std::string policy_spec;
+  int capacity = 0;
+  if (command == "adapt" || command == "rescale") {
+    previous_path = cli.GetString("previous", "");
+    policy_spec = cli.GetString("policy", "");
+    capacity = static_cast<int>(cli.GetInt("capacity", 0));
+  }
+  const bool has_new_k = command == "rescale" && cli.Has("new-k");
+  const int new_k =
+      has_new_k ? static_cast<int>(cli.GetInt("new-k", k)) : k;
+  const std::string parts_path =
+      command == "metrics" ? cli.GetString("parts", "") : "";
+  if (const int code = RejectUnreadFlags(cli, *sub); code != 0) return code;
+  if (policy_spec == "help") {
+    std::fprintf(stderr, "%s\n", elastic::PolicySpecHelp().c_str());
+    return 0;
+  }
   if (input.empty()) { Help(*sub); return 2; }
 
   auto loaded = Load(input);
@@ -485,11 +521,6 @@ int main(int argc, char** argv) {
   std::printf("graph: %s\n",
               ToString(ComputeGraphStats(loaded->converted)).c_str());
 
-  const PartitionerOptions options = OptionsFrom(cli);
-  const int k = options.spinner.num_partitions;
-  const double c = options.spinner.additional_capacity;
-  const std::string partitioner_name =
-      cli.GetString("partitioner", "spinner");
   auto partitioner = PartitionerRegistry::Create(partitioner_name, options);
   if (!partitioner.ok()) return Fail(partitioner.status());
 
@@ -499,14 +530,9 @@ int main(int argc, char** argv) {
   if (command == "partition") {
     labels = (*partitioner)->Partition(loaded->converted, k);
   } else if (command == "adapt" || command == "rescale") {
-    auto previous = graph_io::ReadPartitioning(
-        cli.GetString("previous", ""), loaded->num_vertices);
+    auto previous =
+        graph_io::ReadPartitioning(previous_path, loaded->num_vertices);
     if (!previous.ok()) return Fail(previous.status());
-    const std::string policy_spec = cli.GetString("policy", "");
-    if (policy_spec == "help") {
-      std::fprintf(stderr, "%s\n", elastic::PolicySpecHelp().c_str());
-      return 0;
-    }
     if (command == "adapt") {
       if (!(*partitioner)->SupportsRepartition()) {
         return Fail(Status::Unimplemented(
@@ -516,9 +542,8 @@ int main(int argc, char** argv) {
       if (labels.ok() && !policy_spec.empty()) {
         // Post-adapt elasticity check: did the drift that adapt absorbed
         // push the cluster past the policy's comfort zone?
-        auto target = PolicyTargetK(
-            policy_spec, loaded->converted, *labels, k, c,
-            static_cast<int>(cli.GetInt("capacity", 0)));
+        auto target = PolicyTargetK(policy_spec, loaded->converted, *labels,
+                                    k, c, capacity);
         if (!target.ok()) return Fail(target.status());
         if (*target != k) {
           if (!(*partitioner)->SupportsRescale()) {
@@ -538,14 +563,13 @@ int main(int argc, char** argv) {
       if (!policy_spec.empty()) {
         // The policy picks the target from the previous partitioning's
         // signals; --new-k is ignored (one decision, not a mandate).
-        if (cli.Has("new-k")) {
+        if (has_new_k) {
           std::fprintf(stderr,
                        "note: --policy decides the target; ignoring "
                        "--new-k\n");
         }
-        auto target = PolicyTargetK(
-            policy_spec, loaded->converted, *previous, k, c,
-            static_cast<int>(cli.GetInt("capacity", 0)));
+        auto target = PolicyTargetK(policy_spec, loaded->converted,
+                                    *previous, k, c, capacity);
         if (!target.ok()) return Fail(target.status());
         result_k = *target;
         if (result_k == k) {
@@ -555,14 +579,14 @@ int main(int argc, char** argv) {
                                            result_k);
         }
       } else {
-        result_k = static_cast<int>(cli.GetInt("new-k", k));
+        result_k = new_k;
         labels = (*partitioner)->Rescale(loaded->converted, *previous, k,
                                          result_k);
       }
     }
   } else if (command == "metrics") {
-    auto parts = graph_io::ReadPartitioning(cli.GetString("parts", ""),
-                                            loaded->num_vertices);
+    auto parts =
+        graph_io::ReadPartitioning(parts_path, loaded->num_vertices);
     if (!parts.ok()) return Fail(parts.status());
     return Report(loaded->converted, *parts, k, c);
   } else {
@@ -572,7 +596,6 @@ int main(int argc, char** argv) {
   if (!labels.ok()) return Fail(labels.status());
   const int code = Report(loaded->converted, *labels, result_k, c);
   if (code != 0) return code;
-  const std::string out = cli.GetString("out", "");
   if (!out.empty()) {
     Status s = graph_io::WritePartitioning(out, *labels);
     if (!s.ok()) return Fail(s);

@@ -26,38 +26,52 @@ Status CommandLine::Parse(int argc, const char* const* argv) {
   return Status::OK();
 }
 
-int64_t CommandLine::GetInt(const std::string& name, int64_t def) const {
+const std::string* CommandLine::Find(const std::string& name) const {
+  read_.insert(name);
   auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+int64_t CommandLine::GetInt(const std::string& name, int64_t def) const {
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
   int64_t v = 0;
-  SPINNER_CHECK(ParseInt64(it->second, &v))
-      << "flag --" << name << " is not an integer: " << it->second;
+  SPINNER_CHECK(ParseInt64(*value, &v))
+      << "flag --" << name << " is not an integer: " << *value;
   return v;
 }
 
 double CommandLine::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
   double v = 0;
-  SPINNER_CHECK(ParseDouble(it->second, &v))
-      << "flag --" << name << " is not a number: " << it->second;
+  SPINNER_CHECK(ParseDouble(*value, &v))
+      << "flag --" << name << " is not a number: " << *value;
   return v;
 }
 
 std::string CommandLine::GetString(const std::string& name,
                                    const std::string& def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? def : *value;
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
 bool CommandLine::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
+}
+
+std::vector<std::string> CommandLine::UnreadFlags() const {
+  std::vector<std::string> unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) unread.push_back(name);
+  }
+  return unread;
 }
 
 }  // namespace spinner

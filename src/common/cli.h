@@ -5,15 +5,18 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
 namespace spinner {
 
 /// Parses argv into a name->value map and answers typed lookups with
-/// defaults. Unknown flags are collected so binaries can reject typos.
+/// defaults. Every lookup marks its flag as read, so once a binary has
+/// read all the flags it understands, UnreadFlags() names the typos.
 class CommandLine {
  public:
   /// Parses flags; non-flag arguments are ignored. Returns an error on
@@ -30,8 +33,16 @@ class CommandLine {
   /// True iff the flag appeared on the command line.
   bool Has(const std::string& name) const;
 
+  /// Flags that appeared on the command line but were never looked up by
+  /// a getter or Has(), in name order.
+  std::vector<std::string> UnreadFlags() const;
+
  private:
+  /// Finds `name` and marks it as read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace spinner

@@ -949,4 +949,36 @@ Result<ShardedRunResult> RunMultiProcessSpinner(
   return run;
 }
 
+Status BindRegistry(const ExecutionOptions& execution,
+                    std::unique_ptr<WorkerRegistry>* registry) {
+  if (execution.mode != ExecutionMode::kTcp || *registry != nullptr) {
+    return Status::OK();
+  }
+  RegistryOptions options;
+  if (!execution.listen_address.empty()) {
+    options.listen_address = execution.listen_address;
+  }
+  options.handshake_timeout_ms = execution.handshake_timeout_ms;
+  SPINNER_ASSIGN_OR_RETURN(*registry, WorkerRegistry::Listen(options));
+  return Status::OK();
+}
+
+Result<ShardedRunResult> RunOnWorkers(
+    const SpinnerConfig& config, const ExecutionOptions& execution,
+    ShardedGraphStore* store, std::vector<PartitionId> initial_labels,
+    std::unique_ptr<WorkerRegistry>* registry,
+    const ProgressObserver* observer) {
+  MultiProcessOptions options;
+  options.num_workers = execution.num_workers;
+  options.transport = TransportOptions::Resolve(execution.wire_max_payload);
+  options.worker_store_dir = execution.worker_store_dir;
+  options.rpc_timeout_ms = execution.rpc_timeout_ms;
+  options.heartbeat_period_ms = execution.heartbeat_period_ms;
+  options.max_recovery_attempts = execution.max_recovery_attempts;
+  SPINNER_RETURN_IF_ERROR(BindRegistry(execution, registry));
+  options.worker_transport = registry->get();
+  return RunMultiProcessSpinner(config, store, std::move(initial_labels),
+                                options, observer);
+}
+
 }  // namespace spinner::dist

@@ -238,6 +238,23 @@ Result<ShardedRunResult> RunMultiProcessSpinner(
     std::vector<PartitionId> initial_labels,
     const MultiProcessOptions& options, const ProgressObserver* observer);
 
+/// kTcp: binds `*registry`, the listener dial-in workers connect to, at
+/// execution.listen_address with execution.handshake_timeout_ms, unless
+/// it is already bound. A no-op for the other modes.
+Status BindRegistry(const ExecutionOptions& execution,
+                    std::unique_ptr<WorkerRegistry>* registry);
+
+/// RunMultiProcessSpinner on the worker fleet `execution` selects: forked
+/// workers (kMultiProcess) or dial-in workers from `*registry` (kTcp,
+/// bound by BindRegistry when still null). A session passes the registry
+/// it keeps across runs, so pooled workers resume without re-downloading;
+/// a one-shot caller passes a local one.
+Result<ShardedRunResult> RunOnWorkers(
+    const SpinnerConfig& config, const ExecutionOptions& execution,
+    ShardedGraphStore* store, std::vector<PartitionId> initial_labels,
+    std::unique_ptr<WorkerRegistry>* registry,
+    const ProgressObserver* observer);
+
 }  // namespace spinner::dist
 
 #endif  // SPINNER_DIST_COORDINATOR_H_

@@ -25,10 +25,10 @@ constexpr size_t kHeaderSize = kFrameHeaderSize;
 ///   total_size u64 | checksum u64
 constexpr size_t kChunkEnvelopeSize = 36;
 
-// SpinnerConfig::Validate repeats kMinFramePayload as a literal (the
+// ExecutionOptions::Validate repeats kMinFramePayload as a literal (the
 // spinner/ layer cannot include dist/); keep them in sync here.
 static_assert(kMinFramePayload == 64,
-              "update SpinnerConfig::Validate's wire_max_payload bound");
+              "update ExecutionOptions::Validate's wire_max_payload bound");
 static_assert(kMinFramePayload > kChunkEnvelopeSize,
               "every legal frame must fit the chunk envelope plus bytes");
 

@@ -98,7 +98,7 @@ inline constexpr int64_t kDefaultPollPeriodMs = 1'000;
 inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 
 /// Smallest configurable frame payload: the chunk envelope plus some
-/// actual bytes must fit in every frame. SpinnerConfig::Validate repeats
+/// actual bytes must fit in every frame. ExecutionOptions::Validate repeats
 /// this bound as a literal (spinner/ cannot include dist/); a static_assert
 /// in transport.cc keeps the two in sync.
 inline constexpr uint64_t kMinFramePayload = 64;
@@ -132,7 +132,7 @@ struct TransportOptions {
   static TransportOptions FromEnv();
 
   /// FromEnv(), with `max_frame_payload_override` (when non-zero, e.g.
-  /// SpinnerConfig::wire_max_payload) winning over the environment.
+  /// ExecutionOptions::wire_max_payload) winning over the environment.
   static TransportOptions Resolve(uint64_t max_frame_payload_override);
 };
 

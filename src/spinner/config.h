@@ -55,42 +55,16 @@ struct SpinnerConfig {
   /// Seed for all stochastic decisions; runs are deterministic in it.
   uint64_t seed = 42;
 
-  /// Execution shape and endpoints (spinner/execution_options.h): shard /
-  /// thread / worker-process counts, the wire payload ceiling, and the
-  /// TCP endpoint configuration. Pure parallelism knobs: results are
-  /// bit-identical for every choice. Explicitly-set fields here win over
-  /// the deprecated flat fields below (ResolvedExecution()).
+  /// Execution shape and endpoints (spinner/execution_options.h): mode,
+  /// shard / thread / worker-process counts, the wire payload ceiling,
+  /// and the TCP endpoint configuration. Pure parallelism knobs: results
+  /// are bit-identical for every choice.
   ExecutionOptions execution = {};
 
-  /// Simulated cluster machines (0 = one per hardware thread). The LPA
-  /// loop maps it to the shard count when num_shards is 0, and the
-  /// in-engine conversion runs one Pregel worker per shard. Never changes
-  /// results: the §IV.A.4 asynchronous view is applied per fixed-size
-  /// vertex block, not per worker.
-  int num_workers = 0;
-
-  /// DEPRECATED — use execution.num_shards. Shards of the
-  /// ShardedGraphStore the shard-parallel substrate runs over (0 =
-  /// num_workers when set, else one shard per hardware thread capped by
-  /// the vertex-block count).
+  /// Flat spellings of execution.num_shards / execution.num_threads, read
+  /// only by ResolvedExecution() when the nested field is 0 (unset).
   int num_shards = 0;
-
-  /// DEPRECATED — use execution.num_threads. OS threads
-  /// (0 = min(num_workers-or-num_shards, hardware)).
   int num_threads = 0;
-
-  /// DEPRECATED — use execution.num_workers with execution.mode =
-  /// kMultiProcess. Worker *processes* for the cross-process execution
-  /// mode (src/dist): 0 runs in-process on a ThreadPool; > 0 forks that
-  /// many ShardWorker processes speaking the dist wire protocol.
-  int num_processes = 0;
-
-  /// DEPRECATED — use execution.wire_max_payload. Per-frame payload
-  /// ceiling (bytes) of the cross-process wire transport; messages larger
-  /// than this stream across chunk frames. 0 = the transport default
-  /// (SPINNER_WIRE_MAX_PAYLOAD env override, or 1 GiB — see
-  /// dist/transport.h TransportOptions). Minimum 64.
-  uint64_t wire_max_payload = 0;
 
   /// PartitionDirected only: when true, the directed→weighted-undirected
   /// conversion runs on the Pregel engine as the NeighborPropagation/
@@ -119,10 +93,8 @@ struct SpinnerConfig {
   /// before every run and by PartitioningSession at construction.
   Status Validate() const;
 
-  /// The effective execution shape: `execution` with every unset field
-  /// filled from the deprecated flat fields (num_shards / num_threads /
-  /// num_processes / wire_max_payload; num_processes > 0 implies
-  /// kMultiProcess when no mode was set explicitly). All execution-shape
+  /// The effective execution shape: `execution` with an unset num_shards /
+  /// num_threads filled from the flat fields above. All execution-shape
   /// consumers read this, never the flat fields directly.
   ExecutionOptions ResolvedExecution() const;
 };

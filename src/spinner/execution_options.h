@@ -1,13 +1,9 @@
 // ExecutionOptions: the one place execution shape is configured.
 //
-// Before this header existed, the parallelism and wire knobs
-// (num_shards / num_threads / num_processes / wire_max_payload) were
-// triplicated across SpinnerConfig, SessionOptions and PartitionerOptions,
-// each copy resolved ad hoc at a different layer. All three structs now
-// nest one ExecutionOptions (their legacy flat fields remain as deprecated
-// shims for one release) and every layer resolves through the same merge
-// rule: an explicitly-set nested field wins over a legacy flat field, and
-// outer layers (SessionOptions) win over inner ones (SpinnerConfig).
+// SpinnerConfig and SessionOptions each nest one ExecutionOptions; a
+// session's `execution` wins field-wise over its config's
+// (MergedExecution). SpinnerConfig::ResolvedExecution() additionally fills
+// unset shard/thread counts from the config's flat num_shards/num_threads.
 //
 // Execution shape never changes results: partitioning assignments and the
 // float φ/ρ/score histories are bit-identical for every mode / shard /
@@ -36,9 +32,9 @@ enum class ExecutionMode {
   kTcp,
 };
 
-/// Execution-shape and endpoint configuration shared by SpinnerConfig,
-/// SessionOptions and PartitionerOptions. Every field has a "not set"
-/// default so option layers can be merged field-wise.
+/// Execution-shape and endpoint configuration nested in SpinnerConfig and
+/// SessionOptions. Every field has a "not set" default so the two can be
+/// merged field-wise.
 struct ExecutionOptions {
   ExecutionMode mode = ExecutionMode::kInProcess;
 
@@ -102,9 +98,8 @@ struct ExecutionOptions {
 };
 
 /// Field-wise merge: every `primary` field that differs from its default
-/// wins; unset fields fall back to `fallback`. This is the one precedence
-/// rule all option layers use (session options over config, nested struct
-/// over deprecated flat fields).
+/// wins; unset fields fall back to `fallback`. How a session's options
+/// override its config's.
 ExecutionOptions MergedExecution(const ExecutionOptions& primary,
                                  const ExecutionOptions& fallback);
 

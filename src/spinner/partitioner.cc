@@ -42,10 +42,10 @@ Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
   pregel::RunStats conversion;
   SPINNER_ASSIGN_OR_RETURN(
       CsrGraph converted,
-      ConvertInEngine(raw_directed,
-                      ResolveNumShards(RunConfig(config_.num_partitions),
-                                       num_vertices),
-                      &conversion));
+      ConvertInEngine(
+          raw_directed,
+          ResolveNumShards(config_.ResolvedExecution(), num_vertices),
+          &conversion));
   SPINNER_ASSIGN_OR_RETURN(
       PartitionResult result,
       RunOnGraph(converted, std::move(no_labels), config_.num_partitions));
@@ -95,26 +95,11 @@ Result<PartitionResult> SpinnerPartitioner::Rescale(
   return RunOnGraph(converted, std::move(initial), new_num_partitions);
 }
 
-SpinnerConfig SpinnerPartitioner::RunConfig(int k) const {
-  SpinnerConfig run_config = config_;
-  run_config.num_partitions = k;
-  // Fold the nested execution options into the deprecated flat fields the
-  // downstream resolvers (ResolveNumShards/ResolveNumThreads) still read.
-  const ExecutionOptions execution = run_config.ResolvedExecution();
-  if (execution.num_shards > 0) run_config.num_shards = execution.num_shards;
-  if (execution.num_threads > 0) {
-    run_config.num_threads = execution.num_threads;
-  }
-  if (execution.wire_max_payload != 0) {
-    run_config.wire_max_payload = execution.wire_max_payload;
-  }
-  return run_config;
-}
-
 Result<PartitionResult> SpinnerPartitioner::RunOnGraph(
     const CsrGraph& converted, std::vector<PartitionId> initial_labels,
     int k) const {
-  const SpinnerConfig run_config = RunConfig(k);
+  SpinnerConfig run_config = config_;
+  run_config.num_partitions = k;
   SPINNER_RETURN_IF_ERROR(run_config.Validate());
   const ExecutionOptions execution = config_.ResolvedExecution();
   if (converted.NumVertices() == 0) {
@@ -126,38 +111,19 @@ Result<PartitionResult> SpinnerPartitioner::RunOnGraph(
   SPINNER_ASSIGN_OR_RETURN(
       ShardedGraphStore store,
       ShardedGraphStore::Build(
-          converted, ResolveNumShards(run_config, converted.NumVertices())));
+          converted, ResolveNumShards(execution, converted.NumVertices())));
   ShardedRunResult run;
   if (execution.mode != ExecutionMode::kInProcess) {
     // Off-thread execution: shards live in ShardWorker processes speaking
     // the dist wire protocol — forked over socketpairs (kMultiProcess) or
-    // dialing in over TCP (kTcp).
-    dist::MultiProcessOptions mp;
-    mp.num_workers = execution.num_workers > 0 ? execution.num_workers
-                                               : run_config.num_processes;
-    mp.transport = dist::TransportOptions::Resolve(execution.wire_max_payload);
-    mp.worker_store_dir = execution.worker_store_dir;
-    mp.rpc_timeout_ms = execution.rpc_timeout_ms;
-    mp.heartbeat_period_ms = execution.heartbeat_period_ms;
-    mp.max_recovery_attempts = execution.max_recovery_attempts;
+    // dialing in over TCP (kTcp, through a throwaway registry).
     std::unique_ptr<dist::WorkerRegistry> registry;
-    if (execution.mode == ExecutionMode::kTcp) {
-      // One-shot run: bind a throwaway registry and wait for dial-ins.
-      dist::RegistryOptions registry_options;
-      if (!execution.listen_address.empty()) {
-        registry_options.listen_address = execution.listen_address;
-      }
-      registry_options.handshake_timeout_ms = execution.handshake_timeout_ms;
-      SPINNER_ASSIGN_OR_RETURN(registry,
-                               dist::WorkerRegistry::Listen(registry_options));
-      mp.worker_transport = registry.get();
-    }
     SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunMultiProcessSpinner(
-                 run_config, &store, std::move(initial_labels), mp,
-                 observer_.active() ? &observer_ : nullptr));
+        run, dist::RunOnWorkers(run_config, execution, &store,
+                                std::move(initial_labels), &registry,
+                                observer_.active() ? &observer_ : nullptr));
   } else {
-    ThreadPool pool(ResolveNumThreads(run_config, store.num_shards()));
+    ThreadPool pool(ResolveNumThreads(execution));
     SPINNER_ASSIGN_OR_RETURN(
         run, RunShardedSpinner(run_config, &store, std::move(initial_labels),
                                &pool,

@@ -109,10 +109,6 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// config() with num_partitions = k and the nested execution options
-  /// folded into the flat fields the shard/thread resolvers read.
-  SpinnerConfig RunConfig(int k) const;
-
   /// Runs label propagation on `converted` over a ShardedGraphStore, on
   /// threads or worker processes as the execution options select
   /// (spinner/sharded_program.h, dist/coordinator.h).

@@ -16,38 +16,11 @@ PartitioningSession::PartitioningSession(const SpinnerConfig& config,
                                          SessionOptions options)
     : config_(config),
       options_(options),
+      execution_(
+          MergedExecution(options.execution, config.ResolvedExecution())),
       init_status_(config.Validate()),
       current_k_(config.num_partitions) {
-  // Fold the four configuration layers into one ExecutionOptions, outer
-  // layers winning field-wise: session.execution > session flat shims >
-  // config.execution > config flat shims.
-  ExecutionOptions session_legacy;
-  session_legacy.num_shards = options_.num_shards;
-  session_legacy.num_threads = options_.num_threads;
-  session_legacy.num_workers = options_.num_workers;
-  session_legacy.wire_max_payload = options_.wire_max_payload;
-  session_legacy.mode = options_.execution_mode;
-  execution_ = MergedExecution(
-      options_.execution,
-      MergedExecution(session_legacy, config_.ResolvedExecution()));
-  // Write the merged result back through the deprecated config fields so
-  // downstream resolvers (ResolveNumShards/Threads/Workers) and
-  // config().Validate() all see one consistent execution shape. In
-  // kMultiProcess mode num_workers=0 means "auto" (ResolveNumWorkers),
-  // not "in-process".
-  config_.execution = execution_;
-  if (execution_.num_shards > 0) config_.num_shards = execution_.num_shards;
-  if (execution_.num_threads > 0) {
-    config_.num_threads = execution_.num_threads;
-  }
-  if (execution_.wire_max_payload != 0) {
-    config_.wire_max_payload = execution_.wire_max_payload;
-  }
-  if (execution_.mode != ExecutionMode::kInProcess &&
-      execution_.num_workers > 0) {
-    config_.num_processes = execution_.num_workers;
-  }
-  if (init_status_.ok()) init_status_ = config_.Validate();
+  if (init_status_.ok()) init_status_ = execution_.Validate();
 }
 
 PartitioningSession::~PartitioningSession() = default;
@@ -70,26 +43,14 @@ Status PartitioningSession::CheckReady() const {
 Result<ShardedGraphStore> PartitioningSession::BuildStore(
     const CsrGraph& converted) const {
   return ShardedGraphStore::Build(
-      converted, ResolveNumShards(config_, converted.NumVertices()));
+      converted, ResolveNumShards(execution_, converted.NumVertices()));
 }
 
 void PartitioningSession::EnsurePool() {
-  const int threads = ResolveNumThreads(config_, store_.num_shards());
+  const int threads = ResolveNumThreads(execution_);
   if (pool_ == nullptr || pool_->num_threads() != threads) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-}
-
-Status PartitioningSession::EnsureRegistry() {
-  if (registry_ != nullptr) return Status::OK();
-  dist::RegistryOptions options;
-  if (!execution_.listen_address.empty()) {
-    options.listen_address = execution_.listen_address;
-  }
-  options.handshake_timeout_ms = execution_.handshake_timeout_ms;
-  SPINNER_ASSIGN_OR_RETURN(registry_,
-                           dist::WorkerRegistry::Listen(options));
-  return Status::OK();
 }
 
 Result<std::string> PartitioningSession::TcpAddress() {
@@ -97,7 +58,7 @@ Result<std::string> PartitioningSession::TcpAddress() {
     return Status::FailedPrecondition(
         "TcpAddress() is only meaningful in ExecutionMode::kTcp");
   }
-  SPINNER_RETURN_IF_ERROR(EnsureRegistry());
+  SPINNER_RETURN_IF_ERROR(dist::BindRegistry(execution_, &registry_));
   return registry_->address();
 }
 
@@ -112,22 +73,10 @@ Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
     // superstep schedule over forked (kMultiProcess) or dial-in TCP
     // (kTcp) workers, so the session-visible outcome is bit-identical to
     // the in-process path.
-    dist::MultiProcessOptions mp;
-    mp.num_workers = run_config.num_processes;
-    mp.transport =
-        dist::TransportOptions::Resolve(run_config.wire_max_payload);
-    mp.worker_store_dir = execution_.worker_store_dir;
-    mp.rpc_timeout_ms = execution_.rpc_timeout_ms;
-    mp.heartbeat_period_ms = execution_.heartbeat_period_ms;
-    mp.max_recovery_attempts = execution_.max_recovery_attempts;
-    if (execution_.mode == ExecutionMode::kTcp) {
-      SPINNER_RETURN_IF_ERROR(EnsureRegistry());
-      mp.worker_transport = registry_.get();
-    }
     SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunMultiProcessSpinner(
-                 run_config, &store_, std::move(initial_labels), mp,
-                 observer_.active() ? &observer_ : nullptr));
+        run, dist::RunOnWorkers(run_config, execution_, &store_,
+                                std::move(initial_labels), &registry_,
+                                observer_.active() ? &observer_ : nullptr));
   } else {
     EnsurePool();
     SPINNER_ASSIGN_OR_RETURN(
@@ -291,12 +240,15 @@ Status PartitioningSession::ResizeWorkers(int num_workers) {
         "kInProcess has no worker fleet");
   }
   execution_.num_workers = num_workers;
-  config_.execution.num_workers = num_workers;
-  config_.num_processes = num_workers;  // RunLpa reads this per call
   if (execution_.mode == ExecutionMode::kTcp && registry_ != nullptr) {
     registry_->DrainPooled(num_workers);
   }
   return Status::OK();
+}
+
+int PartitioningSession::num_workers() const {
+  if (execution_.mode == ExecutionMode::kInProcess) return 0;
+  return dist::ResolveNumWorkers(execution_.num_workers, store_.num_shards());
 }
 
 Status PartitioningSession::Snapshot(const std::string& path) const {

@@ -9,9 +9,10 @@
 // "we have 4 more machines") instead of re-wiring delta application,
 // conversion and label threading by hand.
 //
-//   PartitioningSession session(config,
-//                               SessionOptions{.num_shards = 8,
-//                                              .num_threads = 4});
+//   SessionOptions options;
+//   options.execution.num_shards = 8;
+//   options.execution.num_threads = 4;
+//   PartitioningSession session(config, options);
 //   SPINNER_CHECK_OK(session.Open(n, edges, /*directed=*/true));
 //   ...
 //   GraphDelta delta;                                  // graph changed
@@ -54,25 +55,11 @@ class WorkerRegistry;
 }  // namespace dist
 
 /// Execution-shape knobs of a session, orthogonal to the algorithm
-/// configuration. The nested `execution` struct (ExecutionOptions, shared
-/// with SpinnerConfig and PartitionerOptions) is the one source of truth;
-/// the flat fields are DEPRECATED shims kept one release so existing
-/// call sites compile unmodified. Precedence per field:
-/// session `execution` > session flat fields > config `execution` >
-/// config flat fields. No value here ever changes the partitioning a
-/// session computes — both bit-identity and the float histories hold
-/// across every mode.
+/// configuration: every `execution` field that is set wins over the same
+/// field of the config's `execution` (MergedExecution). No value here ever
+/// changes the partitioning a session computes — both bit-identity and
+/// the float histories hold across every mode.
 struct SessionOptions {
-  /// DEPRECATED — use execution.num_shards.
-  int num_shards = 0;
-  /// DEPRECATED — use execution.num_threads.
-  int num_threads = 0;
-  /// DEPRECATED — use execution.mode.
-  ExecutionMode execution_mode = ExecutionMode::kInProcess;
-  /// DEPRECATED — use execution.num_workers.
-  int num_workers = 0;
-  /// DEPRECATED — use execution.wire_max_payload.
-  uint64_t wire_max_payload = 0;
   /// Where and how wide the session's label propagation executes,
   /// including the kTcp endpoint config (listen_address, handshake
   /// timeout, worker store directory). See spinner/execution_options.h.
@@ -84,8 +71,8 @@ struct SessionOptions {
 class PartitioningSession {
  public:
   /// `config.num_partitions` is the initial k; Rescale() changes it.
-  /// `options` fixes the session's shard/thread counts (non-zero values
-  /// win over the equivalent SpinnerConfig fields). An invalid config is
+  /// `options` fixes the session's execution shape (set fields win over
+  /// the config's). An invalid config or execution shape is
   /// reported by the first lifecycle call rather than by crashing the
   /// constructor.
   explicit PartitioningSession(const SpinnerConfig& config,
@@ -129,8 +116,10 @@ class PartitioningSession {
   /// FailedPrecondition under kInProcess, where there is no fleet.
   Status ResizeWorkers(int num_workers);
 
-  /// The worker count the next off-thread lifecycle call will use.
-  int num_workers() const { return config_.num_processes; }
+  /// The worker count the next off-thread lifecycle call will use (an
+  /// auto-sized kMultiProcess fleet is known once the session is open);
+  /// 0 under kInProcess, which has no fleet.
+  int num_workers() const;
 
   // --- Persistence -------------------------------------------------------
 
@@ -181,12 +170,12 @@ class PartitioningSession {
   /// The execution-shape options the session was constructed with.
   const SessionOptions& options() const { return options_; }
 
-  /// The fully merged execution options this session runs with (session
-  /// options folded over the config, shims resolved).
+  /// The execution options this session runs with: the session's
+  /// `execution` merged over config().ResolvedExecution().
   const ExecutionOptions& execution() const { return execution_; }
 
-  /// The effective execution mode (any layer's options or a config-driven
-  /// num_processes can select an off-thread mode).
+  /// The effective execution mode (either the session options or the
+  /// config can select an off-thread mode).
   ExecutionMode execution_mode() const { return execution_.mode; }
 
   /// kTcp only: the "host:port" dial-in workers must connect to. Binds
@@ -225,9 +214,6 @@ class PartitioningSession {
   /// Creates the thread pool on first use (after the shard count is known).
   void EnsurePool();
 
-  /// kTcp only: binds the persistent WorkerRegistry on first use.
-  Status EnsureRegistry();
-
   /// Runs shard-parallel label propagation over store_ from
   /// `initial_labels` with `k` partitions and fills `out` (metrics are
   /// computed against `metrics_graph`). On success store_.labels() is the
@@ -238,7 +224,7 @@ class PartitioningSession {
 
   SpinnerConfig config_;   // num_partitions kept equal to current_k_
   SessionOptions options_;
-  ExecutionOptions execution_;  // merged across session + config layers
+  ExecutionOptions execution_;  // session options merged over the config
   Status init_status_;     // config validation outcome, reported lazily
   /// kTcp: the listener + pooled worker connections, shared by every
   /// lifecycle call of this session.

@@ -201,9 +201,9 @@ class InProcessBackend final : public SuperstepBackend {
 
 }  // namespace
 
-int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices) {
-  if (config.num_shards > 0) return config.num_shards;
-  if (config.num_workers > 0) return config.num_workers;
+int ResolveNumShards(const ExecutionOptions& execution,
+                     int64_t num_vertices) {
+  if (execution.num_shards > 0) return execution.num_shards;
   const int64_t blocks =
       (num_vertices + ShardedGraphStore::kBlockSize - 1) /
       ShardedGraphStore::kBlockSize;
@@ -211,13 +211,9 @@ int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices) {
       std::clamp<int64_t>(blocks, 1, HardwareThreads()));
 }
 
-int ResolveNumThreads(const SpinnerConfig& config, int num_shards) {
-  if (config.num_threads > 0) return config.num_threads;
-  // Work stealing decouples threads from shards: extra threads drain
-  // blocks of whatever shard has the most left, so the shard count no
-  // longer caps useful parallelism.
-  (void)num_shards;
-  return HardwareThreads();
+int ResolveNumThreads(const ExecutionOptions& execution) {
+  return execution.num_threads > 0 ? execution.num_threads
+                                   : HardwareThreads();
 }
 
 Result<ShardedRunResult> RunShardedSpinner(

@@ -115,18 +115,15 @@ struct ShardedRunResult {
   ScheduleStats schedule;
 };
 
-/// The shard count a run should use: config.num_shards when set, else
-/// config.num_workers (so existing worker-count knobs keep their meaning),
-/// else one shard per hardware thread capped by the block count. The
-/// choice never affects results, only parallelism granularity.
-int ResolveNumShards(const SpinnerConfig& config, int64_t num_vertices);
+/// The shard count a run should use: execution.num_shards when set, else
+/// one shard per hardware thread capped by the block count. The choice
+/// never affects results, only parallelism granularity.
+int ResolveNumShards(const ExecutionOptions& execution, int64_t num_vertices);
 
-/// The OS-thread count a run should use: config.num_threads when set, else
-/// the hardware concurrency (capped by the graph's block count through
-/// `num_shards`-independent stealing — more threads than shards is useful
-/// now that workers steal blocks, so the shard count no longer caps the
-/// thread count). Never affects results.
-int ResolveNumThreads(const SpinnerConfig& config, int num_shards);
+/// The OS-thread count a run should use: execution.num_threads when set,
+/// else the hardware concurrency (workers steal blocks across shards, so
+/// the shard count does not cap it). Never affects results.
+int ResolveNumThreads(const ExecutionOptions& execution);
 
 /// Runs Spinner label propagation shard-parallel over `store` on `pool`.
 /// `initial_labels` holds one fixed label per vertex for

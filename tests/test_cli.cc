@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace spinner {
 namespace {
 
@@ -65,6 +68,31 @@ TEST(CommandLineTest, EmptyFlagNameIsError) {
 TEST(CommandLineTest, LaterValueWins) {
   auto cli = Parse({"--k=1", "--k=2"});
   EXPECT_EQ(cli.GetInt("k", 0), 2);
+}
+
+TEST(CommandLineTest, UnreadFlagsNameTypos) {
+  // A program that understands --k and --transport: the typo'd
+  // --trasnport and the removed --processes spelling are reported, the
+  // flags it read are not.
+  auto cli = Parse({"--k=8", "--trasnport=multiprocess", "--processes=3"});
+  EXPECT_EQ(cli.GetInt("k", 0), 8);
+  EXPECT_EQ(cli.GetString("transport", "inprocess"), "inprocess");
+  EXPECT_EQ(cli.UnreadFlags(),
+            (std::vector<std::string>{"processes", "trasnport"}));
+}
+
+TEST(CommandLineTest, EveryLookupMarksItsFlagRead) {
+  auto cli = Parse({"--a=1", "--b=2.5", "--c=x", "--d", "--e=0"});
+  EXPECT_EQ(cli.UnreadFlags().size(), 5u);
+  cli.GetInt("a", 0);
+  cli.GetDouble("b", 0);
+  cli.GetString("c", "");
+  cli.GetBool("d", false);
+  EXPECT_TRUE(cli.Has("e"));
+  EXPECT_TRUE(cli.UnreadFlags().empty());
+  // Looking up an absent flag reads nothing that appeared.
+  EXPECT_FALSE(cli.Has("f"));
+  EXPECT_TRUE(cli.UnreadFlags().empty());
 }
 
 }  // namespace

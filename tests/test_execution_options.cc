@@ -1,7 +1,7 @@
-// ExecutionOptions: the single nested execution-shape struct shared by
-// SpinnerConfig, SessionOptions and PartitionerOptions. These tests pin
-// the merge precedence (nested over deprecated flat fields, outer layers
-// over inner), the validation rules, and the compile-unmodified shims.
+// ExecutionOptions: the single nested execution-shape struct of
+// SpinnerConfig and SessionOptions. These tests pin the merge precedence
+// (session over config, nested over the config's flat shard/thread
+// counts) and the validation rules.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -131,45 +131,52 @@ TEST(ExecutionOptionsTest, ConfigResolvesDeprecatedFlatFields) {
   SpinnerConfig config;
   config.num_shards = 4;
   config.num_threads = 2;
-  config.num_processes = 3;
-  config.wire_max_payload = 2048;
-  const ExecutionOptions resolved = config.ResolvedExecution();
-  EXPECT_EQ(resolved.mode, ExecutionMode::kMultiProcess);
+  config.execution.num_workers = 3;
+  ExecutionOptions resolved = config.ResolvedExecution();
   EXPECT_EQ(resolved.num_shards, 4);
   EXPECT_EQ(resolved.num_threads, 2);
   EXPECT_EQ(resolved.num_workers, 3);
-  EXPECT_EQ(resolved.wire_max_payload, 2048u);
+  EXPECT_EQ(resolved.mode, ExecutionMode::kInProcess);
 
   // The nested struct wins over the flat fields when both are set.
   config.execution.num_shards = 9;
-  config.execution.mode = ExecutionMode::kInProcess;
-  // mode's default value cannot be distinguished from "unset", so an
-  // explicit in-process choice is expressed by zeroing num_processes.
-  EXPECT_EQ(config.ResolvedExecution().num_shards, 9);
+  resolved = config.ResolvedExecution();
+  EXPECT_EQ(resolved.num_shards, 9);
+  EXPECT_EQ(resolved.num_threads, 2);  // still folded from the flat field
+
+  // A negative flat count is caught through the resolved shape.
+  config.execution.num_threads = 0;
+  config.num_threads = -1;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
-TEST(ExecutionOptionsTest, SessionMergesAllFourLayers) {
+TEST(ExecutionOptionsTest, SessionExecutionWinsOverConfig) {
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_shards = 2;          // config flat (lowest precedence)
-  config.execution.num_shards = 3;  // config nested beats config flat
+  config.num_shards = 2;  // flat: folded in only when the nested is unset
+  config.execution.num_threads = 3;
+  config.execution.wire_max_payload = 4096;
 
   SessionOptions options;
-  options.num_threads = 2;        // session flat beats all config layers
-  options.execution.wire_max_payload = 8192;  // session nested: top
+  options.execution.num_threads = 2;
+  options.execution.mode = ExecutionMode::kMultiProcess;
 
   PartitioningSession session(config, options);
-  EXPECT_EQ(session.execution().num_shards, 3);
-  EXPECT_EQ(session.execution().num_threads, 2);
-  EXPECT_EQ(session.execution().wire_max_payload, 8192u);
-  EXPECT_EQ(session.execution_mode(), ExecutionMode::kInProcess);
+  EXPECT_EQ(session.execution().num_shards, 2);   // from the config
+  EXPECT_EQ(session.execution().num_threads, 2);  // session wins
+  EXPECT_EQ(session.execution().wire_max_payload, 4096u);
+  EXPECT_EQ(session.execution_mode(), ExecutionMode::kMultiProcess);
+  // The session never writes its merged shape back into the config.
+  EXPECT_EQ(session.config().execution.num_threads, 3);
+  EXPECT_EQ(session.config().execution.mode, ExecutionMode::kInProcess);
 
-  // Session nested beats session flat.
-  SessionOptions shadowed;
-  shadowed.num_shards = 5;
-  shadowed.execution.num_shards = 7;
-  PartitioningSession session2(config, shadowed);
-  EXPECT_EQ(session2.execution().num_shards, 7);
+  // A merged shape that is invalid is reported by the first lifecycle
+  // call, like an invalid config.
+  SessionOptions tcp;
+  tcp.execution.mode = ExecutionMode::kTcp;  // no num_workers
+  PartitioningSession bad(config, tcp);
+  EXPECT_EQ(bad.Open(3, EdgeList{{0, 1}, {1, 2}}).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExecutionOptionsTest, TcpAddressRequiresTcpMode) {
@@ -206,23 +213,24 @@ TEST(ExecutionOptionsTest, PartitionerOptionsFeedTheRegistryFactory) {
   auto g = BuildSymmetric(ws->num_vertices, ws->edges);
   ASSERT_TRUE(g.ok());
 
-  PartitionerOptions flat;
-  flat.num_shards = 3;
-  auto by_flat = PartitionerRegistry::Create("spinner", flat);
-  ASSERT_TRUE(by_flat.ok()) << by_flat.status();
-  auto labels_flat = (*by_flat)->Partition(*g, 4);
-  ASSERT_TRUE(labels_flat.ok()) << labels_flat.status();
+  PartitionerOptions one_shard;
+  one_shard.spinner.execution.num_shards = 1;
+  one_shard.spinner.execution.num_threads = 1;
+  auto by_one = PartitionerRegistry::Create("spinner", one_shard);
+  ASSERT_TRUE(by_one.ok()) << by_one.status();
+  auto labels_one = (*by_one)->Partition(*g, 4);
+  ASSERT_TRUE(labels_one.ok()) << labels_one.status();
 
-  PartitionerOptions nested;
-  nested.execution.num_shards = 3;
-  auto by_nested = PartitionerRegistry::Create("spinner", nested);
-  ASSERT_TRUE(by_nested.ok()) << by_nested.status();
-  auto labels_nested = (*by_nested)->Partition(*g, 4);
-  ASSERT_TRUE(labels_nested.ok()) << labels_nested.status();
+  PartitionerOptions three_shards;
+  three_shards.spinner.execution.num_shards = 3;
+  auto by_three = PartitionerRegistry::Create("spinner", three_shards);
+  ASSERT_TRUE(by_three.ok()) << by_three.status();
+  auto labels_three = (*by_three)->Partition(*g, 4);
+  ASSERT_TRUE(labels_three.ok()) << labels_three.status();
 
-  // Execution shape never changes results — and the two spellings of the
-  // same shape are interchangeable.
-  EXPECT_EQ(*labels_flat, *labels_nested);
+  // The factory runs the execution shape the spinner config carries, and
+  // execution shape never changes results.
+  EXPECT_EQ(*labels_one, *labels_three);
 }
 
 }  // namespace

@@ -20,8 +20,26 @@ namespace {
 SpinnerConfig SmallConfig(int k = 4) {
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   return config;
+}
+
+/// A session pinned to `num_shards` shards on `num_threads` threads
+/// (0 = auto).
+SessionOptions Shape(int num_shards, int num_threads = 0) {
+  SessionOptions options;
+  options.execution.num_shards = num_shards;
+  options.execution.num_threads = num_threads;
+  return options;
+}
+
+/// Forked-worker execution over `num_shards` shards and `num_workers`
+/// processes (0 = auto).
+SessionOptions MultiProcessShape(int num_shards, int num_workers) {
+  SessionOptions options = Shape(num_shards);
+  options.execution.mode = ExecutionMode::kMultiProcess;
+  options.execution.num_workers = num_workers;
+  return options;
 }
 
 GeneratedGraph SmallWorld(uint64_t seed = 9) {
@@ -314,29 +332,23 @@ TEST(PartitioningSessionTest, LifecycleIsShardAndThreadCountInvariant) {
   // The issue's acceptance bar: same seed ⇒ identical assignment for
   // S ∈ {1, 2, 7} and 1 vs N threads, through the whole lifecycle.
   const GeneratedGraph g = SmallWorld(31);
-  const auto reference =
-      LifecycleAssignments(g, SessionOptions{.num_shards = 1,
-                                             .num_threads = 1});
+  const auto reference = LifecycleAssignments(g, Shape(1, 1));
   for (const SessionOptions& options :
-       {SessionOptions{.num_shards = 2, .num_threads = 1},
-        SessionOptions{.num_shards = 7, .num_threads = 4},
-        SessionOptions{.num_shards = 0, .num_threads = 0}}) {
+       {Shape(2, 1), Shape(7, 4), Shape(0, 0)}) {
     const auto got = LifecycleAssignments(g, options);
     ASSERT_EQ(got.size(), reference.size());
     for (size_t step = 0; step < reference.size(); ++step) {
       EXPECT_EQ(got[step], reference[step])
-          << "step " << step << " S=" << options.num_shards
-          << " threads=" << options.num_threads;
+          << "step " << step << " S=" << options.execution.num_shards
+          << " threads=" << options.execution.num_threads;
     }
   }
 }
 
 TEST(PartitioningSessionTest, SessionOptionsFixTheStoreShape) {
   const GeneratedGraph g = SmallWorld();
-  PartitioningSession session(SmallConfig(),
-                              SessionOptions{.num_shards = 3,
-                                             .num_threads = 2});
-  EXPECT_EQ(session.options().num_shards, 3);
+  PartitioningSession session(SmallConfig(), Shape(3, 2));
+  EXPECT_EQ(session.options().execution.num_shards, 3);
   EXPECT_EQ(session.num_shards(), 0);  // no store before Open
   ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
   EXPECT_EQ(session.num_shards(), 3);
@@ -349,8 +361,7 @@ TEST(PartitioningSessionTest, EdgeDeltaRebuildsOnlyOwningShards) {
   // 1100 vertices = 5 blocks of 256; S=3 → shard 0 owns [0, 256).
   auto ws = WattsStrogatz(1100, 3, 0.3, 17);
   ASSERT_TRUE(ws.ok());
-  PartitioningSession session(SmallConfig(),
-                              SessionOptions{.num_shards = 3});
+  PartitioningSession session(SmallConfig(), Shape(3));
   ASSERT_TRUE(session.Open(ws->num_vertices, ws->edges, ws->directed).ok());
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(session.store().rebuild_count(s), 1);
@@ -378,14 +389,11 @@ TEST(PartitioningSessionTest, SnapshotRestoreRoundTripsAcrossShardShapes) {
   // many-shard one with the identical assignment and continued lifecycle.
   const GeneratedGraph g = SmallWorld(12);
   TempPath snapshot("session_shards.spns");
-  PartitioningSession writer(SmallConfig(4),
-                             SessionOptions{.num_shards = 1});
+  PartitioningSession writer(SmallConfig(4), Shape(1));
   ASSERT_TRUE(writer.Open(g.num_vertices, g.edges, g.directed).ok());
   ASSERT_TRUE(writer.Snapshot(snapshot.path).ok());
 
-  PartitioningSession reader(SmallConfig(4),
-                             SessionOptions{.num_shards = 5,
-                                            .num_threads = 2});
+  PartitioningSession reader(SmallConfig(4), Shape(5, 2));
   ASSERT_TRUE(reader.Restore(snapshot.path).ok());
   EXPECT_EQ(reader.assignment(), writer.assignment());
   EXPECT_EQ(reader.num_shards(), 5);
@@ -421,16 +429,11 @@ TEST(MultiProcessSessionTest, LifecycleMatchesInProcessAcrossShapes) {
   // identical assignments whether the shards live on a ThreadPool or in
   // forked worker processes, for every {num_shards, num_workers}.
   const GeneratedGraph g = SmallWorld(31);
-  const auto reference =
-      LifecycleAssignments(g, SessionOptions{.num_shards = 1,
-                                             .num_threads = 1});
+  const auto reference = LifecycleAssignments(g, Shape(1, 1));
   for (const int num_shards : {1, 2, 7}) {
     for (const int num_workers : {1, 3}) {
-      const SessionOptions options{
-          .num_shards = num_shards,
-          .execution_mode = ExecutionMode::kMultiProcess,
-          .num_workers = num_workers};
-      const auto got = LifecycleAssignments(g, options);
+      const auto got = LifecycleAssignments(
+          g, MultiProcessShape(num_shards, num_workers));
       ASSERT_EQ(got.size(), reference.size());
       for (size_t step = 0; step < reference.size(); ++step) {
         EXPECT_EQ(got[step], reference[step])
@@ -479,8 +482,7 @@ TEST(MultiProcessSessionTest, FailedApplyDeltaKeepsThePreCallStore) {
   // The kept store is the one the delta applies to: a retry produces
   // what an in-process session computes for the same delta.
   ASSERT_TRUE(session.ApplyDelta(delta).ok());
-  PartitioningSession reference(SmallConfig(),
-                                SessionOptions{.num_shards = 3});
+  PartitioningSession reference(SmallConfig(), Shape(3));
   ASSERT_TRUE(reference.Open(g.num_vertices, g.edges, g.directed).ok());
   ASSERT_TRUE(reference.ApplyDelta(delta).ok());
   EXPECT_EQ(session.assignment(), reference.assignment());
@@ -492,13 +494,10 @@ TEST(MultiProcessSessionTest, FloatHistoriesMatchInProcess) {
   config.max_iterations = 8;
   config.use_halting = false;
 
-  PartitioningSession in_process(config, SessionOptions{.num_shards = 3});
+  PartitioningSession in_process(config, Shape(3));
   ASSERT_TRUE(
       in_process.Open(g.num_vertices, g.edges, g.directed).ok());
-  PartitioningSession multi_process(
-      config, SessionOptions{.num_shards = 3,
-                             .execution_mode = ExecutionMode::kMultiProcess,
-                             .num_workers = 2});
+  PartitioningSession multi_process(config, MultiProcessShape(3, 2));
   ASSERT_TRUE(
       multi_process.Open(g.num_vertices, g.edges, g.directed).ok());
 
@@ -522,13 +521,11 @@ TEST(MultiProcessSessionTest, WirePayloadKnobStreamsAndMatchesInProcess) {
   config.max_iterations = 6;
   config.use_halting = false;
 
-  PartitioningSession in_process(config, SessionOptions{.num_shards = 3});
+  PartitioningSession in_process(config, Shape(3));
   ASSERT_TRUE(in_process.Open(g.num_vertices, g.edges, g.directed).ok());
-  PartitioningSession chunked(
-      config, SessionOptions{.num_shards = 3,
-                             .execution_mode = ExecutionMode::kMultiProcess,
-                             .num_workers = 2,
-                             .wire_max_payload = 256});
+  SessionOptions tiny_frames = MultiProcessShape(3, 2);
+  tiny_frames.execution.wire_max_payload = 256;
+  PartitioningSession chunked(config, tiny_frames);
   ASSERT_TRUE(chunked.Open(g.num_vertices, g.edges, g.directed).ok());
 
   EXPECT_EQ(in_process.assignment(), chunked.assignment());
@@ -542,28 +539,44 @@ TEST(MultiProcessSessionTest, WirePayloadKnobStreamsAndMatchesInProcess) {
 TEST(MultiProcessSessionTest, ExecutionModeIsIntrospectableAndConfigDriven) {
   PartitioningSession defaulted(SmallConfig());
   EXPECT_EQ(defaulted.execution_mode(), ExecutionMode::kInProcess);
+  EXPECT_EQ(defaulted.num_workers(), 0);  // no fleet in-process
 
   // num_workers is documented as ignored in-process: it must not flip an
   // explicitly-in-process session into forking workers.
-  PartitioningSession workers_only(
-      SmallConfig(), SessionOptions{.num_workers = 2});
-  EXPECT_EQ(workers_only.execution_mode(), ExecutionMode::kInProcess);
+  SessionOptions workers_only;
+  workers_only.execution.num_workers = 2;
+  PartitioningSession in_process(SmallConfig(), workers_only);
+  EXPECT_EQ(in_process.execution_mode(), ExecutionMode::kInProcess);
 
-  PartitioningSession by_options(
-      SmallConfig(),
-      SessionOptions{.execution_mode = ExecutionMode::kMultiProcess});
+  SessionOptions multi_process;
+  multi_process.execution.mode = ExecutionMode::kMultiProcess;
+  PartitioningSession by_options(SmallConfig(), multi_process);
   EXPECT_EQ(by_options.execution_mode(), ExecutionMode::kMultiProcess);
 
-  // A config-driven process count selects multi-process execution too
-  // (the path partition_tool --processes takes).
+  // The config's execution selects multi-process execution too (the path
+  // `partition_tool --transport=multiprocess` takes).
   SpinnerConfig config = SmallConfig();
-  config.num_processes = 2;
+  config.execution.mode = ExecutionMode::kMultiProcess;
+  config.execution.num_workers = 2;
   PartitioningSession by_config(config);
   EXPECT_EQ(by_config.execution_mode(), ExecutionMode::kMultiProcess);
+  EXPECT_EQ(by_config.num_workers(), 2);
 
   const GeneratedGraph g = SmallWorld();
   ASSERT_TRUE(by_config.Open(g.num_vertices, g.edges, g.directed).ok());
   ExpectValidAssignment(by_config);
+}
+
+TEST(MultiProcessSessionTest, AutoSizedFleetReportsItsResolvedWorkerCount) {
+  // num_workers = 0 under kMultiProcess means "auto", not "no workers":
+  // the session reports the count its runs actually fork.
+  PartitioningSession session(SmallConfig(),
+                              MultiProcessShape(3, /*num_workers=*/0));
+  const GeneratedGraph g = SmallWorld();
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  EXPECT_GE(session.num_workers(), 1);
+  EXPECT_LE(session.num_workers(), session.num_shards());
+  ExpectValidAssignment(session);
 }
 
 }  // namespace

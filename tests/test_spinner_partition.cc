@@ -27,7 +27,7 @@ TEST(SpinnerPartitionTest, AssignsEveryVertexAValidLabel) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -48,7 +48,7 @@ TEST(SpinnerPartitionTest, DeterministicForSeedAndWorkers) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 3;
+  config.execution.num_shards = 3;
   config.seed = 99;
   SpinnerPartitioner partitioner(config);
   auto a = partitioner.Partition(g);
@@ -72,7 +72,7 @@ TEST(SpinnerPartitionTest, RecoversPlantedCommunities) {
   CsrGraph g = MakeConverted(*pp);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -88,7 +88,7 @@ TEST(SpinnerPartitionTest, BeatsHashPartitioningOnLocality) {
 
   SpinnerConfig config;
   config.num_partitions = k;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto spinner_result = partitioner.Partition(g);
   ASSERT_TRUE(spinner_result.ok());
@@ -109,7 +109,7 @@ TEST(SpinnerPartitionTest, HaltsByConvergenceBeforeCap) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   config.max_iterations = 500;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
@@ -125,7 +125,7 @@ TEST(SpinnerPartitionTest, HaltingDisabledRunsExactlyMaxIterations) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   config.use_halting = false;
   config.max_iterations = 17;
   SpinnerPartitioner partitioner(config);
@@ -140,7 +140,7 @@ TEST(SpinnerPartitionTest, SinglePartitionIsTrivial) {
   CsrGraph g = MakeConverted(ring);
   SpinnerConfig config;
   config.num_partitions = 1;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());
@@ -163,7 +163,7 @@ TEST(SpinnerPartitionTest, IsolatedVerticesGetLabels) {
   ASSERT_TRUE(g.ok());
   SpinnerConfig config;
   config.num_partitions = 3;
-  config.num_workers = 2;
+  config.execution.num_shards = 2;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(*g);
   ASSERT_TRUE(result.ok());
@@ -178,7 +178,7 @@ TEST(SpinnerPartitionTest, PartitionDirectedHandlesRawEdgeLists) {
   ASSERT_TRUE(rmat.ok());
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.PartitionDirected(rmat->num_vertices,
                                               rmat->edges);
@@ -193,7 +193,7 @@ TEST(SpinnerPartitionTest, InEngineConversionReachesSameQuality) {
   ASSERT_TRUE(rmat.ok());
   SpinnerConfig config;
   config.num_partitions = 4;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner offline(config);
   config.in_engine_conversion = true;
   SpinnerPartitioner in_engine(config);
@@ -230,7 +230,7 @@ TEST(SpinnerPartitionTest, PerWorkerAsyncAblationStillValid) {
   CsrGraph g = MakeConverted(*ws);
   SpinnerConfig config;
   config.num_partitions = 8;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   config.per_worker_async = false;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
@@ -285,7 +285,7 @@ TEST_P(SpinnerPropertyTest, BalanceRespectsCapacityAndLocalityBeatsHash) {
   SpinnerConfig config;
   config.num_partitions = param.k;
   config.additional_capacity = param.c;
-  config.num_workers = 4;
+  config.execution.num_shards = 4;
   SpinnerPartitioner partitioner(config);
   auto result = partitioner.Partition(g);
   ASSERT_TRUE(result.ok());

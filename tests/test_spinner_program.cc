@@ -105,7 +105,7 @@ TEST(SpinnerProgramTest, HistoryTracksHillClimb) {
   sc.num_partitions = 4;
   sc.max_iterations = 60;
   sc.use_halting = false;
-  sc.num_workers = 4;
+  sc.execution.num_shards = 4;
   SpinnerPartitioner partitioner(sc);
   auto result = partitioner.Partition(*g);
   ASSERT_TRUE(result.ok());
@@ -134,7 +134,7 @@ TEST(SpinnerProgramTest, ScoreAggregationIndependentOfWorkerCount) {
     sc.num_partitions = 8;
     sc.max_iterations = 1;  // single ComputeScores, no migrations yet
     sc.use_halting = false;
-    sc.num_workers = workers;
+    sc.execution.num_shards = workers;
     SpinnerPartitioner partitioner(sc);
     auto result = partitioner.Partition(*g);
     SPINNER_CHECK(result.ok());
