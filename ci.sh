@@ -15,8 +15,10 @@
 # chunked streaming, multi-process invariance and crash paths), then
 # smoke-tests `partition_tool --transport=multiprocess --workers=3` and
 # diffs its assignment byte-for-byte against the in-process run — the
-# execution mode must never change the partitioning — and checks that the
-# removed `--processes` flag is rejected (exit 2) instead of ignored.
+# execution mode must never change the partitioning. `adapt` and
+# `rescale --new-k=20` from that partitioning get the same diff. Last,
+# it checks that the removed `--processes` flag is rejected (exit 2)
+# instead of ignored.
 #
 # Wire-stress mode (one Release configuration):
 #   ./ci.sh --mode=wire-stress
@@ -268,6 +270,24 @@ if [[ -n "${MODE}" ]]; then
     ${wire_flags[@]+"${wire_flags[@]}"} \
     --out="${smoke_dir}/multi_process.txt"
   cmp "${smoke_dir}/in_process.txt" "${smoke_dir}/multi_process.txt"
+  # The incremental (adapt) and elastic (rescale) entry points restart the
+  # same run path from other labelings; each must match across substrates.
+  for cmd in adapt rescale; do
+    cmd_flags=(--previous="${smoke_dir}/in_process.txt")
+    if [[ "${cmd}" == "rescale" ]]; then
+      cmd_flags+=(--new-k=20)
+    fi
+    "./${build_dir}/partition_tool" "${cmd}" \
+      --input="${smoke_dir}/edges.txt" --k=16 --seed=11 "${cmd_flags[@]}" \
+      --out="${smoke_dir}/${cmd}_in_process.txt"
+    "./${build_dir}/partition_tool" "${cmd}" \
+      --input="${smoke_dir}/edges.txt" --k=16 --seed=11 "${cmd_flags[@]}" \
+      --transport=multiprocess --workers=3 \
+      ${wire_flags[@]+"${wire_flags[@]}"} \
+      --out="${smoke_dir}/${cmd}_multi_process.txt"
+    cmp "${smoke_dir}/${cmd}_in_process.txt" \
+      "${smoke_dir}/${cmd}_multi_process.txt"
+  done
   # A flag the tool does not use must fail loudly: the removed
   # --processes spelling would otherwise run in-process unnoticed.
   rc=0
@@ -277,7 +297,8 @@ if [[ -n "${MODE}" ]]; then
     echo "ci.sh: --processes exited ${rc}, expected 2 (unused flag)" >&2
     exit 1
   fi
-  echo "ci.sh: ${MODE} assignment is byte-identical to in-process"
+  echo "ci.sh: ${MODE} partition/adapt/rescale assignments are" \
+    "byte-identical to in-process"
   exit 0
 fi
 

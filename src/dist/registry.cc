@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,12 +16,6 @@
 namespace spinner::dist {
 
 namespace {
-
-int64_t NowMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
 
 /// Waits for bytes on `fd` within `timeout_ms`, so a dial-in that never
 /// sends its Hello cannot park the registry forever.

@@ -19,18 +19,6 @@ constexpr char kBaseMagic[4] = {'S', 'P', 'S', 'B'};
 constexpr char kLogMagic[4] = {'S', 'P', 'S', 'D'};
 constexpr uint32_t kStoreVersion = 1;
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open: " + path);
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IOError("short read: " + path);
-  }
-  return bytes;
-}
-
 bool FileExists(const std::string& path) {
   struct stat st{};
   return stat(path.c_str(), &st) == 0;
@@ -80,7 +68,7 @@ Result<std::optional<std::vector<uint8_t>>> PersistentShardStore::
   *records_out = 0;
   const std::string base_path = BasePath(shard_id);
   if (!FileExists(base_path)) return std::optional<std::vector<uint8_t>>();
-  auto base_file = ReadFileBytes(base_path);
+  auto base_file = graph_io::ReadFileBytes(base_path);
   if (!base_file.ok()) return std::optional<std::vector<uint8_t>>();
 
   // Base: magic | version | slice bytes | fnv(slice bytes).
@@ -114,7 +102,7 @@ Result<std::optional<std::vector<uint8_t>>> PersistentShardStore::
   // record truncates the replay (crash-tail tolerance).
   const std::string log_path = LogPath(shard_id);
   if (!FileExists(log_path)) return std::optional(std::move(current));
-  auto log_file = ReadFileBytes(log_path);
+  auto log_file = graph_io::ReadFileBytes(log_path);
   if (!log_file.ok()) return std::optional(std::move(current));
   pos = 0;
   uint64_t bound_fnv = 0;

@@ -30,12 +30,6 @@ Status SetNoDelay(int fd) {
   return Status::OK();
 }
 
-int64_t NowMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
-
 void SleepMs(int64_t ms) {
   timespec ts{};
   ts.tv_sec = ms / 1000;

@@ -83,12 +83,6 @@ Status SendAll(int fd, const uint8_t* data, size_t size) {
   return Status::OK();
 }
 
-int64_t NowMs() {
-  timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
-}
-
 /// Blocks until `fd` is readable (or hung up — the following recv reports
 /// EOF/reset as its own IOError) or `deadline_ms` (absolute CLOCK_MONOTONIC,
 /// < 0 = none) passes. The wait wakes every `poll_period_ms` to re-check
@@ -468,6 +462,12 @@ uint64_t ChecksumBytes(std::span<const uint8_t> bytes, uint64_t seed) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+int64_t NowMs() {
+  timespec ts;
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1'000'000;
 }
 
 }  // namespace spinner::dist

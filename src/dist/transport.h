@@ -216,6 +216,10 @@ inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 uint64_t ChecksumBytes(std::span<const uint8_t> bytes,
                        uint64_t seed = kFnvOffsetBasis);
 
+/// CLOCK_MONOTONIC in milliseconds: the clock every dist deadline
+/// (recv, connect, handshake) is measured against.
+int64_t NowMs();
+
 }  // namespace spinner::dist
 
 #endif  // SPINNER_DIST_TRANSPORT_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "common/string_util.h"
@@ -33,6 +34,23 @@ bool GetRaw(std::ifstream& in, T* value) {
 /// an uncatchable std::length_error from reserve().
 constexpr int64_t kMaxReserve = 1 << 20;
 }  // namespace
+
+Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return Status::IOError("cannot open: " + path);
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    return Status::IOError("not a regular file: " + path);
+  }
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IOError("cannot determine size: " + path);
+  in.seekg(0);
+  std::vector<uint8_t> bytes(static_cast<size_t>(size));
+  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    return Status::IOError("short read: " + path);
+  }
+  return bytes;
+}
 
 Status WriteBinaryGraph(const std::string& path, int64_t num_vertices,
                         const EdgeList& edges) {

@@ -19,6 +19,11 @@
 
 namespace spinner::graph_io {
 
+/// Reads a whole file into memory. IOError when `path` cannot be opened,
+/// is not a regular file (a directory opens as a stream but has no
+/// usable size) or cannot be read in full.
+Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
+
 /// A graph as stored in the binary format.
 struct BinaryGraph {
   int64_t num_vertices = 0;

@@ -44,6 +44,14 @@ Result<std::vector<PartitionId>> ElasticShrink(
     std::span<const PartitionId> previous, int old_k, int new_k,
     uint64_t seed);
 
+/// Elastic restart labels (§III.E) for a k change old_k → new_k:
+/// ElasticExpand when new_k grows, ElasticShrink when it falls, and
+/// `previous` unchanged when it stays. The one place both Rescale entry
+/// points (SpinnerPartitioner, PartitioningSession) pick the re-labeling.
+Result<std::vector<PartitionId>> ElasticRestartLabels(
+    std::span<const PartitionId> previous, int old_k, int new_k,
+    uint64_t seed);
+
 }  // namespace spinner
 
 #endif  // SPINNER_SPINNER_INITIAL_ASSIGNMENT_H_

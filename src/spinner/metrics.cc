@@ -33,6 +33,16 @@ Result<PartitionMetrics> ComputeMetrics(
   return ComputeMetricsEx(converted, assignment, k, c, BalanceSpec{});
 }
 
+Result<PartitionMetrics> ComputeConfigMetrics(
+    const CsrGraph& converted, std::span<const PartitionId> assignment,
+    const SpinnerConfig& config) {
+  BalanceSpec spec;
+  spec.mode = config.balance_mode;
+  spec.partition_weights = config.partition_weights;
+  return ComputeMetricsEx(converted, assignment, config.num_partitions,
+                          config.additional_capacity, spec);
+}
+
 Result<PartitionMetrics> ComputeMetricsEx(
     const CsrGraph& converted, std::span<const PartitionId> assignment, int k,
     double c, const BalanceSpec& spec) {

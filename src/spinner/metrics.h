@@ -54,6 +54,12 @@ Result<PartitionMetrics> ComputeMetricsEx(
     const CsrGraph& converted, std::span<const PartitionId> assignment,
     int k, double c, const BalanceSpec& spec);
 
+/// ComputeMetricsEx under `config`'s balance objective, capacity c and
+/// k (num_partitions): the quality every Spinner run and session reports.
+Result<PartitionMetrics> ComputeConfigMetrics(
+    const CsrGraph& converted, std::span<const PartitionId> assignment,
+    const SpinnerConfig& config);
+
 /// b(l) per partition only (cheaper than full metrics).
 Result<std::vector<int64_t>> ComputeLoads(
     const CsrGraph& converted, std::span<const PartitionId> assignment, int k);

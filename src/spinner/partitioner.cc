@@ -5,6 +5,7 @@
 
 #include "common/threadpool.h"
 #include "dist/coordinator.h"
+#include "dist/registry.h"
 #include "graph/conversion.h"
 #include "graph/edge_list.h"
 #include "graph/sharded_store.h"
@@ -14,13 +15,77 @@
 
 namespace spinner {
 
+Result<PartitionResult> RunLabelPropagation(
+    const SpinnerConfig& config, int k, const ExecutionOptions& execution,
+    const CsrGraph& converted, ShardedGraphStore* store,
+    std::vector<PartitionId> initial_labels, std::unique_ptr<ThreadPool>* pool,
+    std::unique_ptr<dist::WorkerRegistry>* registry,
+    const ProgressObserver& observer) {
+  SpinnerConfig run_config = config;
+  run_config.num_partitions = k;
+  // Checked before any substrate exists, so a bad call binds no listener.
+  SPINNER_RETURN_IF_ERROR(run_config.Validate());
+  if (store->NumVertices() == 0) {
+    return Status::InvalidArgument("cannot partition an empty graph");
+  }
+  const ProgressObserver* active = observer.active() ? &observer : nullptr;
+  PartitionResult result;
+  ShardedRunResult& run = result;
+  if (execution.mode != ExecutionMode::kInProcess) {
+    // Off-thread execution: the coordinator drives the identical superstep
+    // schedule over forked (kMultiProcess) or dial-in TCP (kTcp) workers,
+    // so the outcome is bit-identical to the in-process path.
+    SPINNER_ASSIGN_OR_RETURN(
+        run, dist::RunOnWorkers(run_config, execution, store,
+                                std::move(initial_labels), registry, active));
+  } else {
+    const int threads = ResolveNumThreads(execution);
+    if (*pool == nullptr || (*pool)->num_threads() != threads) {
+      *pool = std::make_unique<ThreadPool>(threads);
+    }
+    SPINNER_ASSIGN_OR_RETURN(
+        run, RunShardedSpinner(run_config, store, std::move(initial_labels),
+                               pool->get(), active));
+  }
+  result.assignment = store->labels();
+  result.num_partitions = k;
+  SPINNER_ASSIGN_OR_RETURN(
+      result.metrics,
+      ComputeConfigMetrics(converted, result.assignment, run_config));
+  return result;
+}
+
+namespace {
+
+/// One stateless run: shard, thread and worker counts never change the
+/// result, so a store, pool and registry made for this call alone are
+/// equivalent to a session's persistent ones.
+Result<PartitionResult> RunOnThrowawayStore(const SpinnerConfig& config,
+                                            const ProgressObserver& observer,
+                                            const CsrGraph& converted,
+                                            std::vector<PartitionId> labels,
+                                            int k) {
+  const ExecutionOptions execution = config.ResolvedExecution();
+  SPINNER_ASSIGN_OR_RETURN(
+      ShardedGraphStore store,
+      ShardedGraphStore::Build(
+          converted, ResolveNumShards(execution, converted.NumVertices())));
+  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<dist::WorkerRegistry> registry;
+  return RunLabelPropagation(config, k, execution, converted, &store,
+                             std::move(labels), &pool, &registry, observer);
+}
+
+}  // namespace
+
 SpinnerPartitioner::SpinnerPartitioner(const SpinnerConfig& config)
     : config_(config) {}
 
 Result<PartitionResult> SpinnerPartitioner::Partition(
     const CsrGraph& converted) const {
   std::vector<PartitionId> no_labels(converted.NumVertices(), kNoPartition);
-  return RunOnGraph(converted, std::move(no_labels), config_.num_partitions);
+  return RunOnThrowawayStore(config_, observer_, converted,
+                             std::move(no_labels), config_.num_partitions);
 }
 
 Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
@@ -28,12 +93,10 @@ Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
   EdgeList dedup = directed;
   RemoveSelfLoops(&dedup);
   SortAndDedup(&dedup);
-  std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
   if (!config_.in_engine_conversion) {
     SPINNER_ASSIGN_OR_RETURN(CsrGraph converted,
                              ConvertToWeightedUndirected(num_vertices, dedup));
-    return RunOnGraph(converted, std::move(no_labels),
-                      config_.num_partitions);
+    return Partition(converted);
   }
   // §IV.A.1 on the Pregel engine, one engine worker per shard; the
   // converted graph then runs the same sharded loop as every other call.
@@ -46,9 +109,7 @@ Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
           raw_directed,
           ResolveNumShards(config_.ResolvedExecution(), num_vertices),
           &conversion));
-  SPINNER_ASSIGN_OR_RETURN(
-      PartitionResult result,
-      RunOnGraph(converted, std::move(no_labels), config_.num_partitions));
+  SPINNER_ASSIGN_OR_RETURN(PartitionResult result, Partition(converted));
   // The conversion supersteps come first in the run's statistics.
   pregel::RunStats& stats = result.run_stats;
   for (pregel::SuperstepStats& ss : stats.per_superstep) {
@@ -68,8 +129,8 @@ Result<PartitionResult> SpinnerPartitioner::Repartition(
   SPINNER_ASSIGN_OR_RETURN(
       std::vector<PartitionId> initial,
       ExtendForNewVertices(new_converted, previous, config_.num_partitions));
-  return RunOnGraph(new_converted, std::move(initial),
-                    config_.num_partitions);
+  return RunOnThrowawayStore(config_, observer_, new_converted,
+                             std::move(initial), config_.num_partitions);
 }
 
 Result<PartitionResult> SpinnerPartitioner::Rescale(
@@ -79,76 +140,12 @@ Result<PartitionResult> SpinnerPartitioner::Rescale(
     return Status::InvalidArgument(
         "previous assignment must cover every vertex");
   }
-  const int old_k = config_.num_partitions;
-  std::vector<PartitionId> initial;
-  if (new_num_partitions > old_k) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticExpand(previous, old_k, new_num_partitions,
-                               config_.seed));
-  } else if (new_num_partitions < old_k) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticShrink(previous, old_k, new_num_partitions,
-                               config_.seed));
-  } else {
-    initial.assign(previous.begin(), previous.end());
-  }
-  return RunOnGraph(converted, std::move(initial), new_num_partitions);
-}
-
-Result<PartitionResult> SpinnerPartitioner::RunOnGraph(
-    const CsrGraph& converted, std::vector<PartitionId> initial_labels,
-    int k) const {
-  SpinnerConfig run_config = config_;
-  run_config.num_partitions = k;
-  SPINNER_RETURN_IF_ERROR(run_config.Validate());
-  const ExecutionOptions execution = config_.ResolvedExecution();
-  if (converted.NumVertices() == 0) {
-    return Status::InvalidArgument("cannot partition an empty graph");
-  }
-
-  // Shard/thread/process counts never change the result, so a throwaway
-  // single-run store is equivalent to a session's persistent one.
   SPINNER_ASSIGN_OR_RETURN(
-      ShardedGraphStore store,
-      ShardedGraphStore::Build(
-          converted, ResolveNumShards(execution, converted.NumVertices())));
-  ShardedRunResult run;
-  if (execution.mode != ExecutionMode::kInProcess) {
-    // Off-thread execution: shards live in ShardWorker processes speaking
-    // the dist wire protocol — forked over socketpairs (kMultiProcess) or
-    // dialing in over TCP (kTcp, through a throwaway registry).
-    std::unique_ptr<dist::WorkerRegistry> registry;
-    SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunOnWorkers(run_config, execution, &store,
-                                std::move(initial_labels), &registry,
-                                observer_.active() ? &observer_ : nullptr));
-  } else {
-    ThreadPool pool(ResolveNumThreads(execution));
-    SPINNER_ASSIGN_OR_RETURN(
-        run, RunShardedSpinner(run_config, &store, std::move(initial_labels),
-                               &pool,
-                               observer_.active() ? &observer_ : nullptr));
-  }
-
-  PartitionResult result;
-  result.num_partitions = k;
-  result.iterations = run.iterations;
-  result.converged = run.converged;
-  result.cancelled = run.cancelled;
-  result.history = std::move(run.history);
-  result.run_stats = std::move(run.run_stats);
-  result.wire = std::move(run.wire);
-  result.schedule = run.schedule;
-  result.assignment = std::move(store.labels());
-
-  BalanceSpec spec;
-  spec.mode = run_config.balance_mode;
-  spec.partition_weights = run_config.partition_weights;
-  SPINNER_ASSIGN_OR_RETURN(
-      result.metrics,
-      ComputeMetricsEx(converted, result.assignment, k,
-                       run_config.additional_capacity, spec));
-  return result;
+      std::vector<PartitionId> initial,
+      ElasticRestartLabels(previous, config_.num_partitions,
+                           new_num_partitions, config_.seed));
+  return RunOnThrowawayStore(config_, observer_, converted, std::move(initial),
+                             new_num_partitions);
 }
 
 }  // namespace spinner

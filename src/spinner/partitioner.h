@@ -9,23 +9,28 @@
 //   auto result = partitioner.Partition(converted_graph);
 //   if (result.ok()) use(result->assignment);
 //
-// DEPRECATION NOTE: new code should prefer the maintained-lifecycle API —
-// PartitioningSession (spinner/session.h) owns the graph + assignment and
-// composes delta application, conversion and adaptation; the
-// PartitionerRegistry (baselines/partitioner_registry.h) constructs any
-// partitioner, Spinner included, behind the uniform GraphPartitioner
-// interface. These free-standing entry points remain as thin shims for
-// callers that manage graph state themselves.
+// The three modes are one label-propagation loop started from three
+// initial labelings, and every entry point here and in
+// PartitioningSession (spinner/session.h) runs it through one function,
+// RunLabelPropagation: SpinnerPartitioner over a throwaway store and
+// substrate per call, the session over the store, thread pool and worker
+// registry it keeps. New code should prefer the session (stateful
+// maintenance) or the PartitionerRegistry
+// (baselines/partitioner_registry.h, one-shot runs behind the uniform
+// GraphPartitioner interface); these entry points remain for callers
+// that manage graph state themselves.
 #ifndef SPINNER_SPINNER_PARTITIONER_H_
 #define SPINNER_SPINNER_PARTITIONER_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
+#include "common/threadpool.h"
 #include "graph/csr_graph.h"
+#include "graph/sharded_store.h"
 #include "graph/types.h"
-#include "pregel/stats.h"
 #include "spinner/config.h"
 #include "spinner/metrics.h"
 #include "spinner/observer.h"
@@ -34,34 +39,37 @@
 
 namespace spinner {
 
-/// Everything a run produces: the assignment plus quality metrics,
-/// convergence curves and engine statistics (used by the adaptation
-/// benches to measure time/message savings).
-struct PartitionResult {
+namespace dist {
+class WorkerRegistry;
+}  // namespace dist
+
+/// Everything a run produces: the sharded loop's outcome (iterations,
+/// convergence and cancellation, history, run/wire/schedule statistics —
+/// see ShardedRunResult) plus the assignment, its k and its quality.
+struct PartitionResult : ShardedRunResult {
   /// Partition label per vertex, all in [0, num_partitions).
   std::vector<PartitionId> assignment;
   /// k of this run.
   int num_partitions = 0;
-  /// LPA iterations executed.
-  int iterations = 0;
-  /// True iff halted by the score-convergence criterion (not the cap).
-  bool converged = false;
-  /// True iff stopped early by a ProgressObserver or cancellation token;
-  /// the assignment is still complete and valid, just less optimized.
-  bool cancelled = false;
   /// Final quality (computed on the converted graph).
   PartitionMetrics metrics;
-  /// Per-iteration evolution (Fig. 4 curves); empty if record_history off.
-  std::vector<IterationPoint> history;
-  /// Superstep statistics: supersteps, wall time, messages.
-  pregel::RunStats run_stats;
-  /// Wire traffic of the cross-process execution mode (zeros when the run
-  /// stayed in-process).
-  WireTraffic wire;
-  /// Work-stealing claim counters of the in-process run (zeros for the
-  /// cross-process modes).
-  ScheduleStats schedule;
 };
+
+/// The one label-propagation run behind SpinnerPartitioner and
+/// PartitioningSession: runs `config` with `k` partitions over `store`
+/// from `initial_labels` (kNoPartition entries draw a random label) on
+/// the substrate `execution` selects — threads of `*pool`, created or
+/// resized to ResolveNumThreads(execution) on demand, or the worker
+/// fleet of dist::RunOnWorkers, whose kTcp registry `*registry` is bound
+/// on demand and kept for the caller's next run. Quality is measured on
+/// `converted`, the graph `store` was sliced from. On success
+/// store->labels() equals the returned assignment.
+Result<PartitionResult> RunLabelPropagation(
+    const SpinnerConfig& config, int k, const ExecutionOptions& execution,
+    const CsrGraph& converted, ShardedGraphStore* store,
+    std::vector<PartitionId> initial_labels, std::unique_ptr<ThreadPool>* pool,
+    std::unique_ptr<dist::WorkerRegistry>* registry,
+    const ProgressObserver& observer);
 
 /// Stateless facade; safe to reuse and — observer mutation aside — to
 /// share across threads.
@@ -109,13 +117,6 @@ class SpinnerPartitioner {
   }
 
  private:
-  /// Runs label propagation on `converted` over a ShardedGraphStore, on
-  /// threads or worker processes as the execution options select
-  /// (spinner/sharded_program.h, dist/coordinator.h).
-  Result<PartitionResult> RunOnGraph(const CsrGraph& converted,
-                                     std::vector<PartitionId> initial_labels,
-                                     int k) const;
-
   SpinnerConfig config_;
   ProgressObserver observer_;
 };

@@ -15,7 +15,6 @@ namespace spinner {
 PartitioningSession::PartitioningSession(const SpinnerConfig& config,
                                          SessionOptions options)
     : config_(config),
-      options_(options),
       execution_(
           MergedExecution(options.execution, config.ResolvedExecution())),
       init_status_(config.Validate()),
@@ -46,13 +45,6 @@ Result<ShardedGraphStore> PartitioningSession::BuildStore(
       converted, ResolveNumShards(execution_, converted.NumVertices()));
 }
 
-void PartitioningSession::EnsurePool() {
-  const int threads = ResolveNumThreads(execution_);
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-}
-
 Result<std::string> PartitioningSession::TcpAddress() {
   if (execution_.mode != ExecutionMode::kTcp) {
     return Status::FailedPrecondition(
@@ -60,48 +52,6 @@ Result<std::string> PartitioningSession::TcpAddress() {
   }
   SPINNER_RETURN_IF_ERROR(dist::BindRegistry(execution_, &registry_));
   return registry_->address();
-}
-
-Status PartitioningSession::RunLpa(const CsrGraph& metrics_graph,
-                                   std::vector<PartitionId> initial_labels,
-                                   int k, PartitionResult* out) {
-  SpinnerConfig run_config = config_;
-  run_config.num_partitions = k;
-  ShardedRunResult run;
-  if (execution_.mode != ExecutionMode::kInProcess) {
-    // Cross-process execution: the coordinator drives the identical
-    // superstep schedule over forked (kMultiProcess) or dial-in TCP
-    // (kTcp) workers, so the session-visible outcome is bit-identical to
-    // the in-process path.
-    SPINNER_ASSIGN_OR_RETURN(
-        run, dist::RunOnWorkers(run_config, execution_, &store_,
-                                std::move(initial_labels), &registry_,
-                                observer_.active() ? &observer_ : nullptr));
-  } else {
-    EnsurePool();
-    SPINNER_ASSIGN_OR_RETURN(
-        run,
-        RunShardedSpinner(run_config, &store_, std::move(initial_labels),
-                          pool_.get(),
-                          observer_.active() ? &observer_ : nullptr));
-  }
-  out->num_partitions = k;
-  out->iterations = run.iterations;
-  out->converged = run.converged;
-  out->cancelled = run.cancelled;
-  out->history = std::move(run.history);
-  out->run_stats = std::move(run.run_stats);
-  out->wire = std::move(run.wire);
-  out->assignment = store_.labels();
-
-  BalanceSpec spec;
-  spec.mode = run_config.balance_mode;
-  spec.partition_weights = run_config.partition_weights;
-  SPINNER_ASSIGN_OR_RETURN(
-      out->metrics,
-      ComputeMetricsEx(metrics_graph, out->assignment, k,
-                       run_config.additional_capacity, spec));
-  return Status::OK();
 }
 
 Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
@@ -116,9 +66,11 @@ Status PartitioningSession::Open(int64_t num_vertices, EdgeList edges,
                            Convert(num_vertices, edges));
   SPINNER_ASSIGN_OR_RETURN(store_, BuildStore(converted));
   std::vector<PartitionId> no_labels(num_vertices, kNoPartition);
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted, std::move(no_labels), current_k_, &result));
+  SPINNER_ASSIGN_OR_RETURN(
+      PartitionResult result,
+      RunLabelPropagation(config_, current_k_, execution_, converted, &store_,
+                          std::move(no_labels), &pool_, &registry_,
+                          observer_));
 
   num_vertices_ = num_vertices;
   edges_ = std::move(edges);
@@ -171,19 +123,19 @@ Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
   // `next` and comes back untouched (slices, labels, rebuild counts) if
   // the run fails.
   std::swap(store_, next);
-  PartitionResult result;
-  const Status run_status =
-      RunLpa(new_converted, std::move(initial), current_k_, &result);
-  if (!run_status.ok()) {
+  Result<PartitionResult> result = RunLabelPropagation(
+      config_, current_k_, execution_, new_converted, &store_,
+      std::move(initial), &pool_, &registry_, observer_);
+  if (!result.ok()) {
     store_ = std::move(next);
-    return run_status;
+    return result.status();
   }
 
   num_vertices_ = new_converted.NumVertices();
   edges_ = std::move(new_edges);
   converted_ = std::move(new_converted);
-  assignment_ = result.assignment;
-  last_result_ = std::move(result);
+  assignment_ = result->assignment;
+  last_result_ = std::move(result).value();
   return Status::OK();
 }
 
@@ -194,19 +146,13 @@ Status PartitioningSession::Rescale(int new_k) {
         StrFormat("new_k must be >= 1 (got %d)", new_k));
   }
   // The probabilistic elastic re-labeling (§III.E) seeds the restart.
-  std::vector<PartitionId> initial;
-  if (new_k > current_k_) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticExpand(assignment_, current_k_, new_k, config_.seed));
-  } else if (new_k < current_k_) {
-    SPINNER_ASSIGN_OR_RETURN(
-        initial, ElasticShrink(assignment_, current_k_, new_k, config_.seed));
-  } else {
-    initial = assignment_;
-  }
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), new_k, &result));
+  SPINNER_ASSIGN_OR_RETURN(
+      std::vector<PartitionId> initial,
+      ElasticRestartLabels(assignment_, current_k_, new_k, config_.seed));
+  SPINNER_ASSIGN_OR_RETURN(
+      PartitionResult result,
+      RunLabelPropagation(config_, new_k, execution_, converted_, &store_,
+                          std::move(initial), &pool_, &registry_, observer_));
 
   current_k_ = new_k;
   config_.num_partitions = new_k;
@@ -220,9 +166,11 @@ Status PartitioningSession::Refine() {
   SPINNER_ASSIGN_OR_RETURN(
       std::vector<PartitionId> initial,
       ExtendForNewVertices(converted_, assignment_, current_k_));
-  PartitionResult result;
-  SPINNER_RETURN_IF_ERROR(
-      RunLpa(converted_, std::move(initial), current_k_, &result));
+  SPINNER_ASSIGN_OR_RETURN(
+      PartitionResult result,
+      RunLabelPropagation(config_, current_k_, execution_, converted_,
+                          &store_, std::move(initial), &pool_, &registry_,
+                          observer_));
   assignment_ = result.assignment;
   last_result_ = std::move(result);
   return Status::OK();
@@ -313,11 +261,7 @@ void PartitioningSession::SetProgressObserver(ProgressObserver observer) {
 
 Result<PartitionMetrics> PartitioningSession::Metrics() const {
   SPINNER_RETURN_IF_ERROR(CheckReady());
-  BalanceSpec spec;
-  spec.mode = config_.balance_mode;
-  spec.partition_weights = config_.partition_weights;
-  return ComputeMetricsEx(converted_, assignment_, current_k_,
-                          config_.additional_capacity, spec);
+  return ComputeConfigMetrics(converted_, assignment_, config_);
 }
 
 }  // namespace spinner

@@ -27,8 +27,13 @@
 // (see spinner/sharded_program.h for why). Deltas that do not grow the
 // vertex range re-slice only the shards owning a touched vertex.
 //
-// Every mutation runs label propagation from the previous assignment and
-// commits atomically: on error the session keeps its pre-call state.
+// Every mutation runs label propagation from the previous assignment —
+// through RunLabelPropagation (spinner/partitioner.h), the one run path
+// SpinnerPartitioner shares, over the session's own store, thread pool
+// and worker registry — and commits atomically: on error the session
+// keeps its pre-call state. last_result() is that function's
+// PartitionResult, so it carries the same statistics a SpinnerPartitioner
+// run reports (history, run_stats, wire, schedule).
 #ifndef SPINNER_SPINNER_SESSION_H_
 #define SPINNER_SPINNER_SESSION_H_
 
@@ -49,10 +54,6 @@
 #include "spinner/partitioner.h"
 
 namespace spinner {
-
-namespace dist {
-class WorkerRegistry;
-}  // namespace dist
 
 /// Execution-shape knobs of a session, orthogonal to the algorithm
 /// configuration: every `execution` field that is set wins over the same
@@ -167,9 +168,6 @@ class PartitioningSession {
   /// counts (observability for the owning-shards-only delta contract).
   const ShardedGraphStore& store() const { return store_; }
 
-  /// The execution-shape options the session was constructed with.
-  const SessionOptions& options() const { return options_; }
-
   /// The execution options this session runs with: the session's
   /// `execution` merged over config().ResolvedExecution().
   const ExecutionOptions& execution() const { return execution_; }
@@ -211,19 +209,7 @@ class PartitioningSession {
   /// Slices `converted` into the session's shard count.
   Result<ShardedGraphStore> BuildStore(const CsrGraph& converted) const;
 
-  /// Creates the thread pool on first use (after the shard count is known).
-  void EnsurePool();
-
-  /// Runs shard-parallel label propagation over store_ from
-  /// `initial_labels` with `k` partitions and fills `out` (metrics are
-  /// computed against `metrics_graph`). On success store_.labels() is the
-  /// new assignment.
-  Status RunLpa(const CsrGraph& metrics_graph,
-                std::vector<PartitionId> initial_labels, int k,
-                PartitionResult* out);
-
   SpinnerConfig config_;   // num_partitions kept equal to current_k_
-  SessionOptions options_;
   ExecutionOptions execution_;  // session options merged over the config
   Status init_status_;     // config validation outcome, reported lazily
   /// kTcp: the listener + pooled worker connections, shared by every

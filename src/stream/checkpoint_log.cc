@@ -14,24 +14,11 @@ namespace {
 constexpr char kLogMagic[4] = {'S', 'P', 'D', 'G'};
 constexpr uint32_t kLogVersion = 1;
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IOError("cannot open: " + path);
-  const std::streamoff size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IOError("short read: " + path);
-  }
-  return bytes;
-}
-
 /// FNV-1a of the base file — binds a log to the exact base image it was
 /// appended against.
 Result<uint64_t> BaseFingerprint(const std::string& base_path) {
   SPINNER_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                           ReadFileBytes(base_path));
+                           graph_io::ReadFileBytes(base_path));
   return dist::ChecksumBytes(bytes);
 }
 
@@ -111,7 +98,7 @@ Result<graph_io::SessionSnapshot> IncrementalCheckpointer::Load(
                            graph_io::ReadSessionSnapshot(base_path));
 
   const std::string log_path = base_path + ".dlog";
-  auto log_bytes = ReadFileBytes(log_path);
+  auto log_bytes = graph_io::ReadFileBytes(log_path);
   if (!log_bytes.ok()) return snapshot;  // base only: nothing was appended
 
   const std::vector<uint8_t>& bytes = *log_bytes;

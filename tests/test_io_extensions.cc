@@ -413,6 +413,25 @@ TEST_F(IncrementalCheckpointTest, TruncatedLogTailIsRejectedCleanly) {
   EXPECT_EQ(torn.status().code(), StatusCode::kIOError);
 }
 
+TEST_F(IncrementalCheckpointTest, DirectoryInPlaceOfTheLogLoadsTheBase) {
+  auto g = WattsStrogatz(400, 3, 0.3, /*seed=*/9);
+  ASSERT_TRUE(g.ok());
+  PartitioningSession session(Config());
+  ASSERT_TRUE(session.Open(g->num_vertices, g->edges, g->directed).ok());
+
+  const std::string base = Register(TempPath("dirlog.spns"));
+  stream::IncrementalCheckpointer checkpointer(base);
+  ASSERT_TRUE(checkpointer.WriteBase(session).ok());
+  // A directory where the log belongs is no log: Load returns the base.
+  const std::string log = checkpointer.log_path();
+  ASSERT_TRUE(std::filesystem::remove(log));
+  ASSERT_TRUE(std::filesystem::create_directory(log));
+  auto loaded = stream::IncrementalCheckpointer::Load(base);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->num_vertices, session.num_vertices());
+  EXPECT_EQ(loaded->assignment, session.assignment());
+}
+
 TEST_F(IncrementalCheckpointTest, CorruptRecordByteFailsTheChecksum) {
   auto g = WattsStrogatz(400, 3, 0.3, /*seed=*/9);
   ASSERT_TRUE(g.ok());

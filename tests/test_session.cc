@@ -81,6 +81,12 @@ TEST(PartitioningSessionTest, OpenPartitionsFromScratch) {
   auto direct_result = direct.Partition(*converted);
   ASSERT_TRUE(direct_result.ok());
   EXPECT_EQ(session.assignment(), direct_result->assignment);
+  // Both report the run's work-stealing schedule through one result type.
+  EXPECT_GT(session.last_result().schedule.tasks, 0);
+  EXPECT_EQ(session.last_result().schedule.tasks,
+            direct_result->schedule.tasks);
+  EXPECT_EQ(session.last_result().schedule.phases,
+            direct_result->schedule.phases);
 }
 
 TEST(PartitioningSessionTest, DoubleOpenIsRejected) {
@@ -348,7 +354,7 @@ TEST(PartitioningSessionTest, LifecycleIsShardAndThreadCountInvariant) {
 TEST(PartitioningSessionTest, SessionOptionsFixTheStoreShape) {
   const GeneratedGraph g = SmallWorld();
   PartitioningSession session(SmallConfig(), Shape(3, 2));
-  EXPECT_EQ(session.options().execution.num_shards, 3);
+  EXPECT_EQ(session.execution().num_shards, 3);
   EXPECT_EQ(session.num_shards(), 0);  // no store before Open
   ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
   EXPECT_EQ(session.num_shards(), 3);

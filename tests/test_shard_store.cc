@@ -175,6 +175,16 @@ TEST(PersistentShardStoreTest, CorruptBaseMeansRedownloadNotCrash) {
   EXPECT_FALSE(loaded->has_value());  // "re-download", never fatal
 }
 
+TEST(PersistentShardStoreTest, DirectoryInPlaceOfABaseLoadsAsAbsent) {
+  // A directory opens as an input stream but has no usable size; reading
+  // it must report the shard absent instead of allocating its "size".
+  PersistentShardStore disk(FreshDir("spsb_dirbase"));
+  ASSERT_TRUE(std::filesystem::create_directories(disk.BasePath(0)));
+  auto loaded = disk.Load(0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_FALSE(loaded->has_value());
+}
+
 TEST(PersistentShardStoreTest, CorruptRecordRollsBackAndRedownloadHeals) {
   // The failover-resume sequence: a replacement worker adopts a store
   // whose delta log was damaged mid-record (not just a truncated tail).
