@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification matrix: Debug + Release, warnings as errors, tests
 # labeled tier1 (benches build but are excluded from the gate, except
-# bench_ablation, whose self-checks run in the Release configuration).
+# bench_ablation, whose self-checks run in the Release configuration, and
+# tools/check_partition_pins.sh, which pins the sha256 of two
+# `partition_tool partition` outputs in the Release configuration).
 # Mirrors .github/workflows/ci.yml so the gate is reproducible locally.
 #
 # Sanitizer mode (one configuration instead of the matrix):
@@ -332,6 +334,9 @@ for build_type in Debug Release; do
     # Ablation row [3] aborts unless in-engine conversion reproduces the
     # offline run exactly, plus its 2 conversion supersteps (~1.5 s).
     "./${build_dir}/bench_ablation"
+    # Text load path byte pin: partition files of a generated and a
+    # hand-written edge list must keep their recorded sha256.
+    tools/check_partition_pins.sh "${build_dir}"
   fi
 done
 

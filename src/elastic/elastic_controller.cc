@@ -87,6 +87,16 @@ const DecisionRecord& ElasticController::EvaluateSignals(
       record.outcome = "suppressed: controller already failed";
     } else if (record.target_k == signals.current_k) {
       record.outcome = "no-op: already at target k";
+    } else if (!session_->config().partition_weights.empty()) {
+      // A policy picks only the new k; the capacities of the new
+      // partitions cannot be derived from the old ones. Checked here, not
+      // at construction, because Rescale(k, weights) can weight a session
+      // after the controller was built.
+      status_ = Status::FailedPrecondition(
+          "ElasticController cannot drive a session with partition_weights: "
+          "a scaling decision picks the new k but not its weights; call "
+          "PartitioningSession::Rescale(new_k, new_weights) instead");
+      record.outcome = status_.message();
     } else {
       Status status = session_->Rescale(record.target_k);
       if (status.ok() && options_.workers_per_partition > 0.0 &&

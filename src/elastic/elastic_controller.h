@@ -94,7 +94,11 @@ struct DecisionRecord {
 class ElasticController {
  public:
   /// `session` must outlive the controller and be open before the first
-  /// evaluation. `policy` must be non-null.
+  /// evaluation. `policy` must be non-null. A session with
+  /// partition_weights is refused: a decision picks a k but not the
+  /// weights for it, so the first decision that would rescale such a
+  /// session sets status() to FailedPrecondition instead and none
+  /// executes from then on.
   ElasticController(PartitioningSession* session,
                     std::unique_ptr<ScalingPolicy> policy,
                     ControllerOptions options = {});

@@ -1,7 +1,9 @@
 #include "graph/conversion.h"
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "common/string_util.h"
 #include "graph/edge_list.h"
@@ -22,76 +24,102 @@ Status ValidateRange(int64_t num_vertices, const EdgeList& edges) {
   return Status::OK();
 }
 
+/// CSR arc arrays, every row sorted by target.
+struct SortedRows {
+  std::vector<int64_t> offsets;  // size n+1
+  std::vector<VertexId> targets;
+  std::vector<EdgeWeight> weights;
+};
+
+/// The rows of the symmetric graph over the distinct unordered pairs of
+/// `edges` (self-loops dropped), each pair's two arcs weighted per Eq. 3
+/// when `directed` — 2 if both directions occur, else 1 — and 1 otherwise.
+SortedRows PairRows(int64_t num_vertices, const EdgeList& edges,
+                    bool directed) {
+  const auto n = static_cast<size_t>(num_vertices);
+
+  // Counting sort of the edges by their lower endpoint: bucket `lo` gets
+  // one key hi<<2 | dir per edge between lo and a higher `hi`, where dir
+  // bit 0 = lo->hi and bit 1 = hi->lo. Self-loops carry no cut
+  // information and are dropped.
+  std::vector<int64_t> bucket(n + 1, 0);
+  for (const Edge& e : edges) {
+    if (e.src != e.dst) ++bucket[std::min(e.src, e.dst) + 1];
+  }
+  std::partial_sum(bucket.begin(), bucket.end(), bucket.begin());
+  std::vector<uint64_t> keys(static_cast<size_t>(bucket[n]));
+  {
+    std::vector<int64_t> cursor(bucket.begin(), bucket.end() - 1);
+    for (const Edge& e : edges) {
+      if (e.src < e.dst) {
+        keys[cursor[e.src]++] = static_cast<uint64_t>(e.dst) << 2 | 1u;
+      } else if (e.src > e.dst) {
+        keys[cursor[e.dst]++] = static_cast<uint64_t>(e.src) << 2 | 2u;
+      }
+    }
+  }
+
+  // Sort each bucket and merge the keys of one pair (duplicates and the
+  // two directions) into one, compacting the buckets to the front of
+  // `keys`; bucket[lo] becomes the start of lo's merged keys. Each merged
+  // pair gives both endpoints one arc.
+  SortedRows rows;
+  rows.offsets.assign(n + 1, 0);
+  int64_t merged = 0;
+  for (size_t lo = 0; lo < n; ++lo) {
+    const int64_t begin = bucket[lo];
+    const int64_t end = bucket[lo + 1];
+    bucket[lo] = merged;
+    std::sort(keys.begin() + begin, keys.begin() + end);
+    for (int64_t i = begin; i < end;) {
+      uint64_t key = keys[i];
+      while (++i < end && (keys[i] >> 2) == (key >> 2)) key |= keys[i];
+      keys[merged++] = key;
+      ++rows.offsets[lo + 1];
+      ++rows.offsets[(key >> 2) + 1];
+    }
+  }
+  bucket[n] = merged;
+  std::partial_sum(rows.offsets.begin(), rows.offsets.end(),
+                   rows.offsets.begin());
+
+  // Both arcs of every pair go straight into the CSR rows. Walking `lo`
+  // in ascending order fills row v first with its lower neighbours (one
+  // per earlier bucket, ascending) and then with its own bucket's higher
+  // ones (sorted), so every row comes out sorted by target.
+  rows.targets.resize(static_cast<size_t>(rows.offsets[n]));
+  rows.weights.resize(rows.targets.size());
+  std::vector<int64_t> cursor(rows.offsets.begin(), rows.offsets.end() - 1);
+  for (size_t lo = 0; lo < n; ++lo) {
+    for (int64_t i = bucket[lo]; i < bucket[lo + 1]; ++i) {
+      const auto hi = static_cast<VertexId>(keys[i] >> 2);
+      const EdgeWeight w = directed && (keys[i] & 3u) == 3u ? 2u : 1u;
+      rows.targets[cursor[lo]] = hi;
+      rows.weights[cursor[lo]++] = w;
+      rows.targets[cursor[hi]] = static_cast<VertexId>(lo);
+      rows.weights[cursor[hi]++] = w;
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 Result<CsrGraph> ConvertToWeightedUndirected(int64_t num_vertices,
                                              const EdgeList& directed_edges) {
   SPINNER_RETURN_IF_ERROR(ValidateRange(num_vertices, directed_edges));
-
-  // Canonicalize each directed edge to (min, max, direction-bit), then a
-  // single sorted pass merges the two directions of each unordered pair.
-  struct Arc {
-    VertexId lo;
-    VertexId hi;
-    uint8_t dir;  // bit 0: lo->hi present, bit 1: hi->lo present
-
-    bool operator<(const Arc& o) const {
-      return std::tie(lo, hi) < std::tie(o.lo, o.hi);
-    }
-  };
-  std::vector<Arc> arcs;
-  arcs.reserve(directed_edges.size());
-  for (const Edge& e : directed_edges) {
-    if (e.src == e.dst) continue;  // self-loops carry no cut information
-    if (e.src < e.dst) {
-      arcs.push_back({e.src, e.dst, 1});
-    } else {
-      arcs.push_back({e.dst, e.src, 2});
-    }
-  }
-  std::sort(arcs.begin(), arcs.end());
-
-  EdgeList sym_edges;
-  std::vector<EdgeWeight> sym_weights;
-  sym_edges.reserve(arcs.size() * 2);
-  sym_weights.reserve(arcs.size() * 2);
-  size_t i = 0;
-  while (i < arcs.size()) {
-    uint8_t dir = 0;
-    const VertexId lo = arcs[i].lo;
-    const VertexId hi = arcs[i].hi;
-    while (i < arcs.size() && arcs[i].lo == lo && arcs[i].hi == hi) {
-      dir |= arcs[i].dir;
-      ++i;
-    }
-    const EdgeWeight w = (dir == 3) ? 2u : 1u;  // both directions => 2
-    sym_edges.push_back({lo, hi});
-    sym_weights.push_back(w);
-    sym_edges.push_back({hi, lo});
-    sym_weights.push_back(w);
-  }
-  return CsrGraph::FromEdges(num_vertices, sym_edges, sym_weights);
+  SortedRows rows = PairRows(num_vertices, directed_edges, /*directed=*/true);
+  return CsrGraph::FromSortedRows(num_vertices, std::move(rows.offsets),
+                                  std::move(rows.targets),
+                                  std::move(rows.weights));
 }
 
 Result<CsrGraph> BuildSymmetric(int64_t num_vertices, const EdgeList& edges) {
   SPINNER_RETURN_IF_ERROR(ValidateRange(num_vertices, edges));
-
-  EdgeList canonical;
-  canonical.reserve(edges.size());
-  for (const Edge& e : edges) {
-    if (e.src == e.dst) continue;
-    canonical.push_back(
-        {std::min(e.src, e.dst), std::max(e.src, e.dst)});
-  }
-  SortAndDedup(&canonical);
-
-  EdgeList sym;
-  sym.reserve(canonical.size() * 2);
-  for (const Edge& e : canonical) {
-    sym.push_back(e);
-    sym.push_back({e.dst, e.src});
-  }
-  return CsrGraph::FromEdges(num_vertices, sym);
+  SortedRows rows = PairRows(num_vertices, edges, /*directed=*/false);
+  return CsrGraph::FromSortedRows(num_vertices, std::move(rows.offsets),
+                                  std::move(rows.targets),
+                                  std::move(rows.weights));
 }
 
 Result<CsrGraph> PatchConversion(const CsrGraph& converted,

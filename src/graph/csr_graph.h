@@ -100,6 +100,21 @@ class CsrGraph {
   EdgeList ToEdgeList() const;
 
  private:
+  /// The two conversions (graph/conversion.h) build their arc arrays
+  /// row by row, already sorted by target, with no intermediate edge
+  /// list, and hand them over through FromSortedRows.
+  friend Result<CsrGraph> ConvertToWeightedUndirected(
+      int64_t num_vertices, const EdgeList& directed_edges);
+  friend Result<CsrGraph> BuildSymmetric(int64_t num_vertices,
+                                         const EdgeList& edges);
+
+  /// Adopts arc arrays whose rows are sorted by (target, weight) and
+  /// fills the cached weighted degrees and total arc weight.
+  static CsrGraph FromSortedRows(int64_t num_vertices,
+                                 std::vector<int64_t> offsets,
+                                 std::vector<VertexId> targets,
+                                 std::vector<EdgeWeight> weights);
+
   int64_t num_vertices_ = 0;
   int64_t total_arc_weight_ = 0;
   std::vector<int64_t> offsets_;         // size n+1

@@ -17,8 +17,10 @@ namespace spinner::graph_io {
 
 /// Reads an edge list. Vertices are as numbered in the file; callers can get
 /// the vertex count from MaxVertexId()+1. Fails with IOError if the file
-/// cannot be opened and InvalidArgument on a malformed line (message names
-/// the line number).
+/// cannot be opened or read (a directory included) and InvalidArgument on
+/// a malformed line (message names the line number). The file is read in
+/// fixed 1 MiB blocks, so memory beyond the result does not grow with the
+/// file.
 Result<EdgeList> ReadEdgeList(const std::string& path);
 
 /// Writes "src dst" per edge.

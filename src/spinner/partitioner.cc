@@ -90,16 +90,20 @@ Result<PartitionResult> SpinnerPartitioner::Partition(
 
 Result<PartitionResult> SpinnerPartitioner::PartitionDirected(
     int64_t num_vertices, const EdgeList& directed) const {
-  EdgeList dedup = directed;
-  RemoveSelfLoops(&dedup);
-  SortAndDedup(&dedup);
   if (!config_.in_engine_conversion) {
-    SPINNER_ASSIGN_OR_RETURN(CsrGraph converted,
-                             ConvertToWeightedUndirected(num_vertices, dedup));
+    // The offline conversion drops self-loops and repeated edges itself.
+    SPINNER_ASSIGN_OR_RETURN(
+        CsrGraph converted,
+        ConvertToWeightedUndirected(num_vertices, directed));
     return Partition(converted);
   }
   // §IV.A.1 on the Pregel engine, one engine worker per shard; the
   // converted graph then runs the same sharded loop as every other call.
+  // CsrGraph::FromEdges keeps every arc, so the engine's input graph is
+  // deduplicated first.
+  EdgeList dedup = directed;
+  RemoveSelfLoops(&dedup);
+  SortAndDedup(&dedup);
   SPINNER_ASSIGN_OR_RETURN(CsrGraph raw_directed,
                            CsrGraph::FromEdges(num_vertices, dedup));
   pregel::RunStats conversion;

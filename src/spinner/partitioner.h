@@ -80,10 +80,10 @@ class SpinnerPartitioner {
   /// Partitions a converted (symmetric, weighted) graph from scratch.
   Result<PartitionResult> Partition(const CsrGraph& converted) const;
 
-  /// Partitions a raw directed edge list from scratch: deduplicates edges,
-  /// then converts them offline or — when config.in_engine_conversion is
-  /// set — with the NeighborPropagation/NeighborDiscovery supersteps on
-  /// the Pregel engine, as the Giraph implementation does
+  /// Partitions a raw directed edge list from scratch: converts it offline
+  /// or — when config.in_engine_conversion is set — with the
+  /// NeighborPropagation/NeighborDiscovery supersteps on the Pregel engine,
+  /// as the Giraph implementation does
   /// (spinner/program.h). Both conversions yield the same graph, so the
   /// result is the same except that run_stats starts with the two
   /// conversion supersteps.

@@ -139,11 +139,21 @@ Status PartitioningSession::ApplyDelta(const GraphDelta& delta) {
   return Status::OK();
 }
 
-Status PartitioningSession::Rescale(int new_k) {
+Status PartitioningSession::Rescale(int new_k,
+                                    std::vector<double> new_weights) {
   SPINNER_RETURN_IF_ERROR(CheckReady());
   if (new_k < 1) {
     return Status::InvalidArgument(
         StrFormat("new_k must be >= 1 (got %d)", new_k));
+  }
+  SpinnerConfig next_config = config_;
+  if (!new_weights.empty()) {
+    next_config.partition_weights = std::move(new_weights);
+  } else if (!config_.partition_weights.empty() && new_k != current_k_) {
+    return Status::FailedPrecondition(StrFormat(
+        "session has partition_weights for k=%d; Rescale(%d) needs "
+        "new_weights with one weight per new partition",
+        current_k_, new_k));
   }
   // The probabilistic elastic re-labeling (§III.E) seeds the restart.
   SPINNER_ASSIGN_OR_RETURN(
@@ -151,10 +161,12 @@ Status PartitioningSession::Rescale(int new_k) {
       ElasticRestartLabels(assignment_, current_k_, new_k, config_.seed));
   SPINNER_ASSIGN_OR_RETURN(
       PartitionResult result,
-      RunLabelPropagation(config_, new_k, execution_, converted_, &store_,
-                          std::move(initial), &pool_, &registry_, observer_));
+      RunLabelPropagation(next_config, new_k, execution_, converted_,
+                          &store_, std::move(initial), &pool_, &registry_,
+                          observer_));
 
   current_k_ = new_k;
+  config_ = std::move(next_config);
   config_.num_partitions = new_k;
   assignment_ = result.assignment;
   last_result_ = std::move(result);
@@ -223,6 +235,16 @@ Status PartitioningSession::RestoreSnapshot(
   if (snapshot.num_partitions < 1) {
     return Status::InvalidArgument(
         "snapshot carries no assignment; cannot restore a session from it");
+  }
+  // Snapshots record k but not partition_weights, so a weighted session
+  // can only take a snapshot whose k its own weights cover.
+  if (!config_.partition_weights.empty() &&
+      config_.partition_weights.size() !=
+          static_cast<size_t>(snapshot.num_partitions)) {
+    return Status::FailedPrecondition(StrFormat(
+        "snapshot has k=%d but the session's partition_weights have %zu "
+        "entries; snapshots do not carry weights",
+        snapshot.num_partitions, config_.partition_weights.size()));
   }
   // In-memory snapshots (delta-log replay) bypass ReadSessionSnapshot's
   // validation; re-check the assignment invariants here.

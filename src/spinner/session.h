@@ -99,8 +99,13 @@ class PartitioningSession {
 
   /// Elastic adaptation (§III.E) to `new_k` partitions. The probabilistic
   /// expand/shrink re-labeling seeds label propagation; after success
-  /// num_partitions() == new_k.
-  Status Rescale(int new_k);
+  /// num_partitions() == new_k. `new_weights` are the relative capacities
+  /// of the new partitions (SpinnerConfig::partition_weights, one per
+  /// partition) and replace the session's on success. Empty keeps the
+  /// current ones, which is only possible for an unweighted session or
+  /// an unchanged k: a weighted session rescaled to another k without
+  /// new_weights fails with FailedPrecondition.
+  Status Rescale(int new_k, std::vector<double> new_weights = {});
 
   /// Runs additional label-propagation iterations from the current
   /// assignment without changing the graph or k — e.g. after a cancelled
@@ -129,6 +134,8 @@ class PartitioningSession {
 
   /// Replaces the session state with a snapshot, without re-running label
   /// propagation. A session can Restore() whether or not it was open.
+  /// Snapshots carry no partition_weights: a weighted session refuses,
+  /// with FailedPrecondition, a snapshot whose k its weights do not cover.
   Status Restore(const std::string& path);
 
   /// Restore() from an in-memory snapshot — the entry point of the

@@ -375,6 +375,55 @@ TEST(ElasticControllerTest, ExecutesDecisionsAndKeepsADeterministicLog) {
   EXPECT_NE(log.find("[2 @43us]"), std::string::npos) << log;
 }
 
+TEST(ElasticControllerTest, RefusesAWeightedSession) {
+  const GeneratedGraph g = LabWorld();
+  SpinnerConfig config = LabConfig(4);
+  config.partition_weights = {1, 1, 2, 2};
+  PartitioningSession session(config);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  auto policy = MakePolicy("watermark:high=1.0,low=0.1,machine-capacity=1");
+  ASSERT_TRUE(policy.ok());
+  ElasticController controller(
+      &session, std::move(*policy),
+      {.clock = std::make_shared<stream::ManualClock>(0)});
+
+  const elastic::DecisionRecord& record = controller.EvaluateSignals(
+      Signals(session.num_partitions(), 1.0, /*max_load=*/100));
+  EXPECT_EQ(record.action, ScalingAction::kScaleOut);
+  EXPECT_FALSE(record.executed);
+  EXPECT_EQ(controller.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(controller.status().message().find("partition_weights"),
+            std::string::npos)
+      << controller.status();
+  EXPECT_EQ(controller.rescales_executed(), 0);
+  EXPECT_EQ(session.num_partitions(), 4);
+}
+
+TEST(ElasticControllerTest, RefusesASessionWeightedAfterConstruction) {
+  const GeneratedGraph g = LabWorld();
+  PartitioningSession session(LabConfig(4));
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+
+  auto policy = MakePolicy("watermark:high=1.0,low=0.1,machine-capacity=1");
+  ASSERT_TRUE(policy.ok());
+  ElasticController controller(
+      &session, std::move(*policy),
+      {.clock = std::make_shared<stream::ManualClock>(0)});
+  EXPECT_TRUE(controller.status().ok()) << controller.status();
+
+  // The session becomes weighted behind the controller's back.
+  ASSERT_TRUE(session.Rescale(4, {1, 1, 2, 2}).ok());
+
+  const elastic::DecisionRecord& record = controller.EvaluateSignals(
+      Signals(session.num_partitions(), 1.0, /*max_load=*/100));
+  EXPECT_EQ(record.action, ScalingAction::kScaleOut);
+  EXPECT_FALSE(record.executed);
+  EXPECT_EQ(controller.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(controller.rescales_executed(), 0);
+  EXPECT_EQ(session.num_partitions(), 4);
+}
+
 TEST(ElasticControllerTest, DryRunModeLogsButNeverTouchesTheSession) {
   const GeneratedGraph g = LabWorld();
   PartitioningSession session(LabConfig(4));

@@ -72,6 +72,42 @@ TEST_F(GraphIoTest, ReadRejectsNegativeIds) {
   std::remove(path.c_str());
 }
 
+TEST_F(GraphIoTest, ReadAcceptsCrlfPlusSignAndNoFinalNewline) {
+  const std::string path = TempPath("edges_crlf.txt");
+  WriteFile(path, "0 1\r\n+5 7\r\n  2 3\r\n1234567890123456789 4\r\n8 9");
+  auto read = graph_io::ReadEdgeList(path);
+  ASSERT_TRUE(read.ok()) << read.status();
+  const EdgeList expected = {
+      {0, 1}, {5, 7}, {2, 3}, {1234567890123456789, 4}, {8, 9}};
+  EXPECT_EQ(*read, expected);
+  std::remove(path.c_str());
+}
+
+TEST_F(GraphIoTest, ReadRejectsOverflowAndNegativeWithLineNumber) {
+  const std::string path = TempPath("edges_overflow.txt");
+  WriteFile(path, "# header\n0 1\n9223372036854775808 1\n");
+  auto read = graph_io::ReadEdgeList(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(read.status().message(),
+            path + ":3: malformed edge line: '9223372036854775808 1'");
+
+  WriteFile(path, "0 1\n-1 2\r\n");
+  read = graph_io::ReadEdgeList(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().message(), path + ":2: malformed edge line: '-1 2'");
+  std::remove(path.c_str());
+}
+
+TEST_F(GraphIoTest, ReadDirectoryIsIOErrorNotAbort) {
+  auto edges = graph_io::ReadEdgeList(testing::TempDir());
+  ASSERT_FALSE(edges.ok());
+  EXPECT_EQ(edges.status().code(), StatusCode::kIOError);
+  auto parts = graph_io::ReadPartitioning(testing::TempDir(), 3);
+  ASSERT_FALSE(parts.ok());
+  EXPECT_EQ(parts.status().code(), StatusCode::kIOError);
+}
+
 TEST_F(GraphIoTest, WriteToUnwritablePathIsIOError) {
   EXPECT_EQ(graph_io::WriteEdgeList("/nonexistent/dir/out.txt", {}).code(),
             StatusCode::kIOError);
@@ -109,6 +145,20 @@ TEST_F(GraphIoTest, PartitioningOutOfRangeVertexFails) {
   auto read = graph_io::ReadPartitioning(path, 2);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
+TEST_F(GraphIoTest, PartitioningErrorsNameTheLine) {
+  const std::string path = TempPath("parts_lines.txt");
+  WriteFile(path, "0 1\r\n7 0\r\n");
+  auto read = graph_io::ReadPartitioning(path, 2);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().message(), path + ":2: vertex 7 outside [0,2)");
+
+  WriteFile(path, "# parts\n0 1\n1 0\n0 1");
+  read = graph_io::ReadPartitioning(path, 2);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().message(), path + ":4: vertex 0 assigned twice");
   std::remove(path.c_str());
 }
 

@@ -202,6 +202,67 @@ TEST(PartitioningSessionTest, RescaleTracksCurrentK) {
   EXPECT_EQ(session.num_partitions(), 3);  // failed call changes nothing
 }
 
+TEST(PartitioningSessionTest, WeightedSessionRescalesWithNewWeights) {
+  // Heterogeneous capacities: the weights for the new k travel with the
+  // call; without them a weighted session cannot change k.
+  const GeneratedGraph g = SmallWorld();
+  SpinnerConfig config = SmallConfig(4);
+  config.partition_weights = {1, 1, 2, 2};
+  PartitioningSession session(config);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  const std::vector<PartitionId> before = session.assignment();
+
+  const Status missing = session.Rescale(5);
+  EXPECT_EQ(missing.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(missing.message().find("new_weights"), std::string::npos)
+      << missing;
+  EXPECT_EQ(session.num_partitions(), 4);  // failed call changes nothing
+  EXPECT_EQ(session.assignment(), before);
+
+  EXPECT_EQ(session.Rescale(5, {1, 2}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.config().partition_weights,
+            (std::vector<double>{1, 1, 2, 2}));
+
+  ASSERT_TRUE(session.Rescale(5, {1, 1, 2, 2, 2}).ok());
+  EXPECT_EQ(session.num_partitions(), 5);
+  EXPECT_EQ(session.config().partition_weights,
+            (std::vector<double>{1, 1, 2, 2, 2}));
+  ExpectValidAssignment(session);
+  auto metrics = session.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(metrics->loads.size(), 5u);
+
+  // The same k keeps its weights.
+  EXPECT_TRUE(session.Rescale(5).ok());
+}
+
+TEST(PartitioningSessionTest, WeightedSessionRefusesSnapshotOfAnotherK) {
+  // Snapshots record k but not the weights: after a weighted rescale to 5,
+  // only a session whose weights cover k=5 may take the snapshot.
+  const GeneratedGraph g = SmallWorld();
+  TempPath snapshot("session_weighted.spns");
+  SpinnerConfig config = SmallConfig(4);
+  config.partition_weights = {1, 1, 2, 2};
+  PartitioningSession session(config);
+  ASSERT_TRUE(session.Open(g.num_vertices, g.edges, g.directed).ok());
+  ASSERT_TRUE(session.Rescale(5, {1, 1, 2, 2, 2}).ok());
+  ASSERT_TRUE(session.Snapshot(snapshot.path).ok());
+
+  PartitioningSession four(config);
+  const Status refused = four.Restore(snapshot.path);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("partition_weights"), std::string::npos)
+      << refused;
+  EXPECT_FALSE(four.is_open());
+
+  SpinnerConfig five_config = SmallConfig(5);
+  five_config.partition_weights = {1, 1, 2, 2, 2};
+  PartitioningSession five(five_config);
+  ASSERT_TRUE(five.Restore(snapshot.path).ok());
+  EXPECT_EQ(five.assignment(), session.assignment());
+  EXPECT_TRUE(five.Refine().ok());
+}
+
 TEST(PartitioningSessionTest, RescaleMatchesDirectEntryPoint) {
   const GeneratedGraph g = SmallWorld();
   PartitioningSession session(SmallConfig(4));
