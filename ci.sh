@@ -25,10 +25,12 @@
 # Wire-stress mode (one Release configuration):
 #   ./ci.sh --mode=wire-stress
 # The multiprocess lane with the transport's frame payload ceiling forced
-# to 4 KiB (SPINNER_WIRE_MAX_PAYLOAD + --wire-max-payload): every Setup
-# slice download, label transfer and snapshot upload exceeds one frame, so
-# the chunk split/reassembly paths execute end-to-end on every push and
-# the result must still be byte-identical to in-process.
+# to 4 KiB (SPINNER_WIRE_MAX_PAYLOAD + --wire-max-payload): every label
+# transfer and snapshot upload exceeds one frame, so the chunk
+# split/reassembly paths execute end-to-end on every push and the result
+# must still be byte-identical to in-process. Forked workers inherit
+# their shard slices and download none, so the lane also runs the Tcp
+# tests: dial-in workers download every slice across 4 KiB chunk frames.
 #
 # TCP mode (one Release configuration):
 #   ./ci.sh --mode=tcp
@@ -251,16 +253,21 @@ if [[ -n "${MODE}" ]]; then
     exit 0
   fi
 
+  dist_tests='^(WireFormat|Transport|MultiProcess)'
+  if [[ "${MODE}" == "wire-stress" ]]; then
+    dist_tests='^(WireFormat|Transport|MultiProcess|Tcp)'
+  fi
   echo "=== dist-subsystem tests ==="
-  ctest --test-dir "${build_dir}" \
-    -R '^(WireFormat|Transport|MultiProcess)' \
+  ctest --test-dir "${build_dir}" -R "${dist_tests}" \
     --output-on-failure -j "${JOBS}"
 
   echo "=== partition_tool 3-worker multiprocess smoke (byte-for-byte diff) ==="
   smoke_dir="$(mktemp -d)"
   trap 'rm -rf "${smoke_dir}"' EXIT
-  # 5000 vertices: the label array alone is ~20 KiB and each shard slice
-  # far larger, so under wire-stress every transfer needs several chunks.
+  # 5000 vertices: the label array alone is ~20 KiB, so under wire-stress
+  # the label transfers and snapshot uploads need several chunks. The
+  # forked workers inherit their shard slices, so no slice crosses the
+  # wire here; the Tcp tests above cover chunked slice downloads.
   "./${build_dir}/partition_tool" generate \
     --out="${smoke_dir}/edges.txt" --vertices=5000 --seed=7
   "./${build_dir}/partition_tool" partition \

@@ -61,8 +61,10 @@ Status Coordinator::Spawn(const SpinnerConfig& config,
   if (options.worker_transport != nullptr) {
     transport_impl_ = options.worker_transport;
   } else {
-    owned_transport_ =
-        std::make_unique<UnixSocketTransport>(options.worker_store_dir);
+    // The forked children inherit `store` and resume every slice from it:
+    // Setup carries no slice bytes.
+    owned_transport_ = std::make_unique<UnixSocketTransport>(
+        options.worker_store_dir, &store);
     transport_impl_ = owned_transport_.get();
   }
   // SPINNER_FAULT_PLAN wraps whichever transport was chosen in the frame
@@ -817,22 +819,27 @@ class MultiProcessBackend final : public SuperstepBackend {
   }
 
   /// What worker w's DeltasAck digest must be, computed from the
-  /// coordinator's authoritative labels: owned slices in ascending shard
-  /// order, then subscribed mirror values in subscription order — the
-  /// exact layout (hence fold) of the worker's compact label array.
-  uint64_t ExpectedStateChecksum(int w) const {
+  /// coordinator's authoritative labels: the owned range (its shards are
+  /// contiguous and ascending), then the subscribed mirror values in
+  /// subscription order — the exact layout (hence fold) of the worker's
+  /// compact label array. The mirror is gathered into a reused buffer so
+  /// both parts fold as whole words.
+  uint64_t ExpectedStateChecksum(int w) {
     const std::vector<PartitionId>& labels = store_->labels();
+    const std::vector<int32_t>& owned = coordinator_->owned_shards(w);
     LabelChecksum sum;
-    for (const int32_t s : coordinator_->owned_shards(w)) {
-      const ShardedGraphStore::Shard& shard = store_->shard(s);
+    if (!owned.empty()) {
+      const VertexId begin = store_->shard(owned.front()).begin;
+      const VertexId end = store_->shard(owned.back()).end;
       sum.Update(std::span<const PartitionId>(labels).subspan(
-          static_cast<size_t>(shard.begin),
-          static_cast<size_t>(shard.end - shard.begin)));
+          static_cast<size_t>(begin), static_cast<size_t>(end - begin)));
     }
-    for (const VertexId v : coordinator_->subscription(w)) {
-      sum.UpdateOne(labels[v]);
+    const std::vector<VertexId>& subscription = coordinator_->subscription(w);
+    mirror_scratch_.resize(subscription.size());
+    for (size_t i = 0; i < subscription.size(); ++i) {
+      mirror_scratch_[i] = labels[static_cast<size_t>(subscription[i])];
     }
-    return sum.digest();
+    return sum.Update(mirror_scratch_).digest();
   }
 
   void FinishStep(int64_t step_start_bytes) {
@@ -869,6 +876,8 @@ class MultiProcessBackend final : public SuperstepBackend {
   /// first SaveCheckpoint; Initialize failures replay nothing).
   std::vector<PartitionId> checkpoint_labels_;
   std::vector<std::vector<int64_t>> checkpoint_loads_;
+  /// ExpectedStateChecksum's gather buffer, reused every superstep.
+  std::vector<PartitionId> mirror_scratch_;
   WireTraffic wire_;
 };
 

@@ -2,7 +2,8 @@
 // acquires worker connections from a Transport (dist/registry.h) — forked
 // children over socketpairs, or dial-in TCP workers from the
 // WorkerRegistry — assigns each a contiguous, capacity-weighted range of
-// store shards (Assign), learns what each worker already hosts (Resume),
+// store shards (Assign), learns what each worker already hosts (Resume:
+// its persistent store, or for a forked child the store it inherited),
 // downloads only the stale/missing shard slices (Setup, streamed across
 // chunk frames for graphs of any size), collects each worker's boundary
 // subscription, and implements the SuperstepBackend interface by turning
@@ -58,7 +59,8 @@ struct MultiProcessOptions {
   TransportOptions transport = TransportOptions::FromEnv();
 
   /// Where worker connections come from. Null = a private
-  /// UnixSocketTransport (fork-per-run, the single-host default); point
+  /// UnixSocketTransport (fork-per-run, the single-host default) whose
+  /// children inherit the run's store and so download no slices; point
   /// it at a WorkerRegistry to drive dial-in TCP workers. Not owned.
   Transport* worker_transport = nullptr;
 

@@ -102,8 +102,10 @@ void CloseAllFdsExcept(int keep) {
 // UnixSocketTransport
 // ---------------------------------------------------------------------------
 
-UnixSocketTransport::UnixSocketTransport(std::string worker_store_dir)
-    : worker_store_dir_(std::move(worker_store_dir)) {}
+UnixSocketTransport::UnixSocketTransport(
+    std::string worker_store_dir, const ShardedGraphStore* inherited_store)
+    : worker_store_dir_(std::move(worker_store_dir)),
+      inherited_store_(inherited_store) {}
 
 Result<std::vector<WorkerEndpoint>> UnixSocketTransport::Acquire(
     int num_workers, const TransportOptions& options) {
@@ -133,6 +135,7 @@ Result<std::vector<WorkerEndpoint>> UnixSocketTransport::Acquire(
       CloseAllFdsExcept(pair->second.fd());
       WorkerLoopOptions loop;
       loop.store_dir = worker_store_dir_;
+      loop.inherited_store = inherited_store_;
       _exit(RunShardWorkerLoop(pair->second.fd(), options, loop));
     }
     pair->second.Close();

@@ -6,7 +6,9 @@
 //
 //   UnixSocketTransport  fork()s ShardWorker children connected by
 //                        socketpair — the single-host mode, one fleet per
-//                        run (Release reaps the child).
+//                        run (Release reaps the child). Children inherit
+//                        the coordinator's store, so they download no
+//                        slices.
 //   WorkerRegistry       the "in the cloud" mode: a TCP listener where
 //                        workers dial in and complete the versioned
 //                        Hello/capacity handshake. Endpoints persist
@@ -33,6 +35,7 @@
 #include "common/result.h"
 #include "dist/tcp_transport.h"
 #include "dist/transport.h"
+#include "graph/sharded_store.h"
 
 namespace spinner::dist {
 
@@ -91,7 +94,14 @@ class UnixSocketTransport final : public Transport {
   /// `worker_store_dir`: when non-empty, children host their slices in a
   /// PersistentShardStore rooted there (restart/resume works across
   /// fleets because the files outlive the forked processes).
-  explicit UnixSocketTransport(std::string worker_store_dir = "");
+  /// `inherited_store`: the store the run's slices come from. Every child
+  /// (recovery top-ups included) inherits it across fork() and takes its
+  /// slices from it instead of downloading them; the Assign/Resume
+  /// fingerprint check still decides. Null = children download. Must
+  /// outlive every Acquire.
+  explicit UnixSocketTransport(
+      std::string worker_store_dir = "",
+      const ShardedGraphStore* inherited_store = nullptr);
 
   const char* name() const override { return "unix"; }
   Result<std::vector<WorkerEndpoint>> Acquire(
@@ -101,6 +111,7 @@ class UnixSocketTransport final : public Transport {
 
  private:
   std::string worker_store_dir_;
+  const ShardedGraphStore* inherited_store_;
   uint64_t next_id_ = 1;
 };
 

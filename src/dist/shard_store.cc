@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,14 +41,17 @@ bool GetRaw(std::span<const uint8_t> bytes, size_t* pos, T* value) {
 }  // namespace
 
 uint64_t ShardSliceFingerprint(std::span<const uint8_t> slice_bytes) {
-  return ChecksumBytes(slice_bytes);
+  return ChecksumWords(slice_bytes);
 }
 
 uint64_t ShardSliceFingerprint(const ShardedGraphStore::Shard& shard) {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(graph_io::EncodedShardSliceSize(shard));
-  graph_io::AppendShardSlice(shard, &bytes);
-  return ChecksumBytes(bytes);
+  // Folds the encoding field by field, straight from the shard's arrays;
+  // WordChecksum carries partial words across the field boundaries, so
+  // this equals the fingerprint of the AppendShardSlice bytes.
+  WordChecksum fold;
+  graph_io::ForEachShardSliceField(
+      shard, [&fold](std::span<const uint8_t> field) { fold.Update(field); });
+  return fold.digest();
 }
 
 PersistentShardStore::PersistentShardStore(std::string root, Options options)
@@ -162,7 +166,7 @@ PersistentShardStore::Load(int32_t shard_id) {
   }
   LoadedSlice loaded;
   loaded.shard = std::move(*shard);
-  loaded.fingerprint = ChecksumBytes(*bytes);
+  loaded.fingerprint = ShardSliceFingerprint(*bytes);
   return std::optional(std::move(loaded));
 }
 
@@ -213,7 +217,7 @@ Status PersistentShardStore::Put(int32_t shard_id,
   SPINNER_ASSIGN_OR_RETURN(auto current, CurrentBytes(shard_id, &records));
   const bool log_damaged = corrupt_tails_ignored_ > corrupt_before;
   if (current.has_value() && !log_damaged &&
-      ChecksumBytes(*current) == ChecksumBytes(slice_bytes)) {
+      std::ranges::equal(*current, slice_bytes)) {
     return Status::OK();  // already hosting exactly these bytes
   }
   // A damaged log forces a fresh base: appending after garbage would put

@@ -21,8 +21,9 @@
 // Put() appends a record while the log is short and folds everything back
 // into a fresh base past `compact_after_records` (bounding replay time).
 //
-// The fingerprint a worker reports in its Resume message is the FNV-1a
-// digest of the *current* slice bytes (base + replayed log); it matches
+// The fingerprint a worker reports in its Resume message is
+// ShardSliceFingerprint of the *current* slice bytes (base + replayed
+// log); the files' own integrity fields stay byte-wise FNV-1a. It matches
 // the coordinator's Assign fingerprint iff the hosted slice is
 // byte-identical to the coordinator's — the zero-download resume gate.
 #ifndef SPINNER_DIST_SHARD_STORE_H_
@@ -39,8 +40,10 @@
 
 namespace spinner::dist {
 
-/// FNV-1a digest of a shard's canonical SPSL slice encoding — the resume
-/// fingerprint both sides of the Assign/Resume handshake compute.
+/// Word-fold digest (transport.h ChecksumWords) of a shard's canonical
+/// SPSL slice encoding — the resume fingerprint both sides of the
+/// Assign/Resume handshake compute. The Shard overload folds the fields in
+/// place and equals the bytes overload on the AppendShardSlice output.
 uint64_t ShardSliceFingerprint(std::span<const uint8_t> slice_bytes);
 uint64_t ShardSliceFingerprint(const ShardedGraphStore::Shard& shard);
 

@@ -25,6 +25,8 @@ constexpr size_t kHeaderSize = kFrameHeaderSize;
 ///   total_size u64 | checksum u64
 constexpr size_t kChunkEnvelopeSize = 36;
 
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
 // ExecutionOptions::Validate repeats kMinFramePayload as a literal (the
 // spinner/ layer cannot include dist/); keep them in sync here.
 static_assert(kMinFramePayload == 64,
@@ -459,9 +461,44 @@ uint64_t ChecksumBytes(std::span<const uint8_t> bytes, uint64_t seed) {
   uint64_t h = seed;
   for (const uint8_t b : bytes) {
     h ^= b;
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
+}
+
+WordChecksum& WordChecksum::Update(std::span<const uint8_t> bytes) {
+  if (bytes.empty()) return *this;  // an empty span's data() may be null
+  const uint8_t* p = bytes.data();
+  size_t n = bytes.size();
+  uint64_t h = h_;
+  uint64_t word = 0;
+  if (carry_size_ > 0) {
+    const size_t take = std::min(n, sizeof(carry_) - carry_size_);
+    std::memcpy(carry_ + carry_size_, p, take);
+    carry_size_ += take;
+    p += take;
+    n -= take;
+    if (carry_size_ < sizeof(carry_)) return *this;
+    std::memcpy(&word, carry_, sizeof(word));
+    h = (h ^ word) * kFnvPrime;
+    carry_size_ = 0;
+  }
+  for (; n >= sizeof(word); p += sizeof(word), n -= sizeof(word)) {
+    std::memcpy(&word, p, sizeof(word));
+    h = (h ^ word) * kFnvPrime;
+  }
+  h_ = h;
+  std::memcpy(carry_, p, n);
+  carry_size_ = n;
+  return *this;
+}
+
+uint64_t WordChecksum::digest() const {
+  return ChecksumBytes({carry_, carry_size_}, h_);
+}
+
+uint64_t ChecksumWords(std::span<const uint8_t> bytes) {
+  return WordChecksum().Update(bytes).digest();
 }
 
 int64_t NowMs() {

@@ -210,11 +210,38 @@ Result<Frame> RecvMessage(int fd, const TransportOptions& options = {},
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
 /// FNV-1a over raw bytes, continuing from `seed` — the per-message
-/// integrity checksum of the chunk layer, and the single FNV
-/// implementation behind dist/wire_format.h's label checksums
-/// (incremental folds chain the previous digest as the seed).
+/// integrity checksum of the chunk layer and of the on-disk SPSB/SPSD/SPDR
+/// records. One multiply per byte; files written with it must keep
+/// verifying, so it never changes.
 uint64_t ChecksumBytes(std::span<const uint8_t> bytes,
                        uint64_t seed = kFnvOffsetBasis);
+
+/// The FNV-1a step applied to 8-byte little-endian words: h = (h ^ w) *
+/// prime, one multiply per 8 bytes, with a byte-wise FNV-1a tail for the
+/// last size % 8 bytes. The fold of the two per-run hot digests — the
+/// DeltasAck label gate and the slice resume fingerprint — which fold
+/// whole label arrays every superstep and whole slices every Assign. Each
+/// step is a bijection of h for a fixed word (or tail byte), so two
+/// inputs of one length that differ only within one word never collide.
+///
+/// Update may be fed any split of the input: a partial word is carried
+/// into the next call, so folding the fields of an encoding one by one
+/// yields exactly ChecksumWords of their concatenation.
+class WordChecksum {
+ public:
+  WordChecksum& Update(std::span<const uint8_t> bytes);
+  /// The digest of everything folded so far (the carried tail folded
+  /// byte-wise); does not end the fold.
+  uint64_t digest() const;
+
+ private:
+  uint64_t h_ = kFnvOffsetBasis;
+  uint8_t carry_[8] = {};
+  size_t carry_size_ = 0;
+};
+
+/// WordChecksum over one contiguous buffer.
+uint64_t ChecksumWords(std::span<const uint8_t> bytes);
 
 /// CLOCK_MONOTONIC in milliseconds: the clock every dist deadline
 /// (recv, connect, handshake) is measured against.

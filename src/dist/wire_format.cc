@@ -423,10 +423,7 @@ Status ErrorMessage::ToStatus() const {
 }
 
 uint64_t ChecksumLabels(std::span<const PartitionId> labels) {
-  // FNV-1a over the raw label bytes (the transport's message checksum).
-  return ChecksumBytes(
-      {reinterpret_cast<const uint8_t*>(labels.data()),
-       labels.size() * sizeof(PartitionId)});
+  return LabelChecksum().Update(labels).digest();
 }
 
 }  // namespace spinner::dist

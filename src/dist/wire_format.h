@@ -85,9 +85,12 @@ enum class MessageType : uint32_t {
   kResume = 18,
 };
 
-/// Version of the Hello/Assign/Resume handshake. A worker advertising a
-/// different version is rejected at the registry before it can join a run.
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Version of the wire protocol, checked at the Hello handshake. A worker
+/// advertising a different version is rejected at the registry before it
+/// can join a run. Version 2 folds the DeltasAck digest and the Resume
+/// fingerprints over 8-byte words (transport.h WordChecksum); a version-1
+/// worker would fail every iteration's gate, so it is refused up front.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Appends primitive values and count-prefixed vectors to a payload buffer.
 class WireWriter {
@@ -216,11 +219,12 @@ struct HelloMessage {
 };
 
 /// Assign (c→w): the run configuration and this worker's contiguous shard
-/// assignment, with the coordinator-side fingerprint (FNV-1a over the SPSL
-/// slice bytes) of every assigned shard. The worker compares these against
-/// its PersistentShardStore and reports what it already holds (Resume);
-/// the coordinator then downloads only the stale or missing slices in the
-/// subsequent Setup.
+/// assignment, with the coordinator-side fingerprint (ShardSliceFingerprint:
+/// the word fold over the SPSL slice bytes) of every assigned shard. The
+/// worker compares these against its PersistentShardStore and, when
+/// forked, the store it inherited, and reports what it already holds
+/// (Resume); the coordinator then downloads only the stale or missing
+/// slices in the subsequent Setup.
 struct AssignMessage {
   int32_t num_partitions = 0;
   uint64_t seed = 0;
@@ -231,7 +235,7 @@ struct AssignMessage {
   /// Global shard ids assigned to this worker, ascending, contiguous
   /// vertex ranges.
   std::vector<int32_t> owned_shards;
-  /// FNV-1a over the current SPSL slice bytes, one per owned shard.
+  /// ShardSliceFingerprint of the current slice, one per owned shard.
   std::vector<uint64_t> slice_fingerprints;
   /// Test hook: _exit(3) right before replying to the
   /// (fail_after_score_steps+1)-th Scores request; -1 = never.
@@ -246,9 +250,10 @@ struct AssignMessage {
 
 /// Resume (w→c): the worker's answer to Assign — the fingerprint of every
 /// assigned shard as loaded from its PersistentShardStore (base + replayed
-/// delta log), 0 where the store holds nothing usable. A fingerprint
-/// matching the Assign value means the coordinator skips that slice in
-/// Setup entirely: the zero-download restart path.
+/// delta log) or, for a forked worker, as found in the store it inherited;
+/// 0 where neither holds anything usable. A fingerprint matching the
+/// Assign value means the coordinator skips that slice in Setup entirely:
+/// the zero-download restart (and fork) path.
 struct ResumeMessage {
   std::vector<uint64_t> fingerprints;  // one per assigned shard, in order
 
@@ -411,10 +416,10 @@ struct ApplyDeltasMessage {
 };
 
 struct DeltasAck {
-  /// FNV-1a over the worker's owned label slices (ascending shard order)
-  /// followed by its subscribed mirror values (subscription order) after
-  /// applying the deltas; must equal the checksum the coordinator computes
-  /// from its authoritative label array for that worker.
+  /// LabelChecksum over the worker's owned label slices (ascending shard
+  /// order) followed by its subscribed mirror values (subscription order)
+  /// after applying the deltas; must equal the checksum the coordinator
+  /// computes from its authoritative label array for that worker.
   uint64_t labels_checksum = 0;
 
   std::vector<uint8_t> Encode() const;
@@ -432,36 +437,28 @@ struct ErrorMessage {
   Status ToStatus() const;
 };
 
-/// FNV-1a over the raw label bytes — the per-iteration cross-process
-/// consistency checksum carried by DeltasAck.
+/// The word fold (transport.h ChecksumWords) over the raw label bytes —
+/// the per-iteration cross-process consistency checksum carried by
+/// DeltasAck.
 uint64_t ChecksumLabels(std::span<const PartitionId> labels);
 
-/// Incremental FNV-1a over label values: both sides of the DeltasAck gate
+/// Incremental form of ChecksumLabels: both sides of the DeltasAck gate
 /// fold a worker's owned slices and subscribed mirror values through one
 /// of these in the same order, so the digests agree iff the states do.
-/// Update(all labels).digest() == ChecksumLabels(all labels) by
-/// construction — every fold chains through transport.h's ChecksumBytes.
+/// Update(all labels).digest() == ChecksumLabels(all labels) for any split
+/// of the labels into Update calls (WordChecksum carries partial words).
 class LabelChecksum {
  public:
   LabelChecksum& Update(std::span<const PartitionId> labels) {
-    h_ = ChecksumBytes(
-        {reinterpret_cast<const uint8_t*>(labels.data()),
-         labels.size() * sizeof(PartitionId)},
-        h_);
+    fold_.Update({reinterpret_cast<const uint8_t*>(labels.data()),
+                  labels.size() * sizeof(PartitionId)});
     return *this;
   }
 
-  LabelChecksum& UpdateOne(PartitionId label) {
-    uint8_t bytes[sizeof(PartitionId)];
-    std::memcpy(bytes, &label, sizeof(label));
-    h_ = ChecksumBytes(bytes, h_);
-    return *this;
-  }
-
-  uint64_t digest() const { return h_; }
+  uint64_t digest() const { return fold_.digest(); }
 
  private:
-  uint64_t h_ = kFnvOffsetBasis;
+  WordChecksum fold_;
 };
 
 }  // namespace spinner::dist

@@ -86,6 +86,7 @@ class ShardWorker {
       : fd_(fd),
         options_(options),
         capacity_(loop.capacity),
+        inherited_(loop.inherited_store),
         loop_fail_after_score_steps_(loop.fail_after_score_steps),
         fail_after_score_steps_(loop.fail_after_score_steps) {
     if (!loop.store_dir.empty()) store_.emplace(loop.store_dir);
@@ -160,7 +161,7 @@ class ShardWorker {
     n_ = 0;
     owned_shards_.clear();
     assigned_fingerprints_.clear();
-    loaded_.clear();
+    local_.clear();
     shards_.clear();
     layout_ = WorkerLayout();
     labels_.clear();
@@ -195,17 +196,28 @@ class ShardWorker {
     return Status::OK();
   }
 
-  bool Subscribed(VertexId v) const {
-    return std::binary_search(layout_.subscription.begin(),
-                              layout_.subscription.end(), v);
-  }
-
-  /// Local slot of subscribed vertex v (callers check Subscribed first).
-  size_t MirrorSlot(VertexId v) const {
-    const auto it = std::lower_bound(layout_.subscription.begin(),
-                                     layout_.subscription.end(), v);
-    return static_cast<size_t>(layout_.owned_count()) +
-           static_cast<size_t>(it - layout_.subscription.begin());
+  /// Index of `v` in the subscription, searched from `hint` (the
+  /// previous hit) forward by doubling steps, or over the whole set when
+  /// `v` lies before the hint; -1 when `v` is not subscribed. Deltas
+  /// arrive in ascending vertex order, so a run of them costs
+  /// O(log gap) each instead of O(log |subscription|).
+  int64_t SubscriptionIndex(VertexId v, size_t hint) const {
+    const std::vector<VertexId>& sub = layout_.subscription;
+    auto lo = sub.begin();
+    auto hi = sub.end();
+    if (hint < sub.size() && sub[hint] <= v) {
+      size_t step = 1;
+      lo = sub.begin() + static_cast<std::ptrdiff_t>(hint);
+      while (hint + step < sub.size() && sub[hint + step] <= v) {
+        lo = sub.begin() + static_cast<std::ptrdiff_t>(hint + step);
+        step *= 2;
+      }
+      hi = sub.begin() +
+           static_cast<std::ptrdiff_t>(std::min(hint + step, sub.size()));
+    }
+    const auto it = std::lower_bound(lo, hi, v);
+    if (it == sub.end() || *it != v) return -1;
+    return it - sub.begin();
   }
 
   /// The DeltasAck gate digest. The compact label array IS the checksum
@@ -247,20 +259,34 @@ class ShardWorker {
     }
     assign_done_ = true;
 
-    // Probe the local store and report what this worker already hosts.
-    // The coordinator compares against its own fingerprints and sends
-    // only the slices that missed — fingerprint 0 means "absent".
+    // Probe the local store, then the store inherited across fork(), and
+    // report what this worker already hosts. The coordinator compares
+    // against its own fingerprints and sends only the slices that missed
+    // — fingerprint 0 means "absent".
     ResumeMessage resume;
     resume.fingerprints.assign(owned_shards_.size(), 0);
-    loaded_.resize(owned_shards_.size());
-    if (store_.has_value()) {
-      for (size_t i = 0; i < owned_shards_.size(); ++i) {
+    local_.resize(owned_shards_.size());
+    for (size_t i = 0; i < owned_shards_.size(); ++i) {
+      LocalSlice& local = local_[i];
+      if (store_.has_value()) {
         auto slice = store_->Load(owned_shards_[i]);
         if (slice.ok() && slice->has_value()) {
-          resume.fingerprints[i] = (*slice)->fingerprint;
-          loaded_[i] = std::move(**slice);
+          local.fingerprint = (*slice)->fingerprint;
+          local.stored = std::move((*slice)->shard);
         }
       }
+      // A stored slice that is current wins; a stale or absent one falls
+      // back to the fork image, which usually matches.
+      const bool stored_current =
+          local.stored.has_value() &&
+          local.fingerprint == assigned_fingerprints_[i];
+      if (!stored_current && inherited_ != nullptr &&
+          owned_shards_[i] < inherited_->num_shards()) {
+        local.stored.reset();
+        local.inherited = &inherited_->shard(owned_shards_[i]);
+        local.fingerprint = ShardSliceFingerprint(*local.inherited);
+      }
+      resume.fingerprints[i] = local.fingerprint;
     }
     return Send(MessageType::kResume, resume.Encode());
   }
@@ -286,8 +312,8 @@ class ShardWorker {
     }
 
     // Merge: Setup carries only the slices whose Resume fingerprint
-    // missed; everything else must come from the local store with a
-    // fingerprint equal to the assigned one.
+    // missed; everything else must come from the local store or the
+    // inherited one with a fingerprint equal to the assigned one.
     std::vector<ShardedGraphStore::Shard> merged(owned_shards_.size());
     std::vector<bool> downloaded(owned_shards_.size(), false);
     for (size_t i = 0; i < setup.owned_shards.size(); ++i) {
@@ -305,29 +331,35 @@ class ShardWorker {
     }
     for (size_t j = 0; j < merged.size(); ++j) {
       if (downloaded[j]) continue;
-      if (!loaded_[j].has_value() ||
-          loaded_[j]->fingerprint != assigned_fingerprints_[j]) {
+      LocalSlice& local = local_[j];
+      if (local.fingerprint == 0 ||
+          local.fingerprint != assigned_fingerprints_[j]) {
         return Status::InvalidArgument(StrFormat(
             "Setup omitted shard %d but the local store cannot supply it",
             static_cast<int>(owned_shards_[j])));
       }
-      merged[j] = std::move(loaded_[j]->shard);
+      // An inherited slice is copied: the remap below rewrites targets,
+      // and the inherited pages stay shared with the coordinator.
+      merged[j] = local.stored.has_value() ? std::move(*local.stored)
+                                           : *local.inherited;
     }
-    loaded_.clear();
 
-    // Persist downloads before the target remap below rewrites them in
-    // place — the store must hold the canonical global-id encoding, the
-    // bytes whose fingerprint the coordinator computes.
+    // Persist downloaded and inherited slices before the target remap
+    // below rewrites them in place — the store must hold the canonical
+    // global-id encoding, the bytes whose fingerprint the coordinator
+    // computes.
     if (store_.has_value()) {
       std::vector<uint8_t> bytes;
       for (size_t j = 0; j < merged.size(); ++j) {
-        if (!downloaded[j]) continue;
+        const bool from_store = !downloaded[j] && local_[j].stored;
+        if (from_store) continue;
         bytes.clear();
         bytes.reserve(graph_io::EncodedShardSliceSize(merged[j]));
         graph_io::AppendShardSlice(merged[j], &bytes);
         SPINNER_RETURN_IF_ERROR(store_->Put(owned_shards_[j], bytes));
       }
     }
+    local_.clear();
 
     SPINNER_ASSIGN_OR_RETURN(layout_, BuildWorkerLayout(merged, n_));
     for (ShardedGraphStore::Shard& shard : merged) {
@@ -474,18 +506,23 @@ class ShardWorker {
                              ApplyDeltasMessage::Decode(payload));
     // Own moves were already applied by HandleMigrate; the coordinator
     // sends only the subscription-filtered remainder, so anything outside
-    // the mirror set is a protocol violation.
+    // the mirror set is a protocol violation. The moves arrive in
+    // ascending vertex order, so each search resumes from the last hit.
+    const size_t mirror_base = static_cast<size_t>(layout_.owned_count());
+    size_t hint = 0;
     for (const LabelDelta& move : deltas.moves) {
       if (move.vertex < 0 || move.vertex >= n_ || move.label < 0 ||
           move.label >= config_.num_partitions) {
         return Status::InvalidArgument("ApplyDeltas: move out of range");
       }
-      if (!Subscribed(move.vertex)) {
+      const int64_t index = SubscriptionIndex(move.vertex, hint);
+      if (index < 0) {
         return Status::InvalidArgument(StrFormat(
             "ApplyDeltas: move for unsubscribed vertex %lld",
             static_cast<long long>(move.vertex)));
       }
-      labels_[MirrorSlot(move.vertex)] = move.label;
+      hint = static_cast<size_t>(index);
+      labels_[mirror_base + hint] = move.label;
     }
     DeltasAck ack;
     ack.labels_checksum = StateChecksum();
@@ -512,6 +549,9 @@ class ShardWorker {
   TransportOptions options_;
   int64_t capacity_;
   std::optional<PersistentShardStore> store_;
+  /// The coordinator's store as it stood at fork() (forked children only;
+  /// shared copy-on-write, never written).
+  const ShardedGraphStore* inherited_;
   uint64_t next_message_id_ = 1;
   bool assign_done_ = false;
   bool setup_done_ = false;
@@ -519,8 +559,14 @@ class ShardWorker {
   int64_t n_ = 0;
   std::vector<int32_t> owned_shards_;
   std::vector<uint64_t> assigned_fingerprints_;
-  /// Store slices probed at Assign, consumed (or discarded) at Setup.
-  std::vector<std::optional<PersistentShardStore::LoadedSlice>> loaded_;
+  /// Where an owned slice can come from without a download: probed at
+  /// Assign, consumed (or discarded) at Setup.
+  struct LocalSlice {
+    std::optional<ShardedGraphStore::Shard> stored;  // persistent store
+    const ShardedGraphStore::Shard* inherited = nullptr;  // fork image
+    uint64_t fingerprint = 0;  // 0 = neither
+  };
+  std::vector<LocalSlice> local_;
   /// Owned slices with targets remapped to compact local slots.
   std::vector<ShardedGraphStore::Shard> shards_;
   WorkerLayout layout_;

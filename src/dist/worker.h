@@ -15,6 +15,10 @@
 // the SAME connection. A worker given a PersistentShardStore root
 // (WorkerLoopOptions::store_dir) hosts its slices on disk and reports
 // their fingerprints in Resume, so a matching re-Assign downloads nothing.
+// A forked worker also holds the coordinator's ShardedGraphStore as it
+// stood at fork() (WorkerLoopOptions::inherited_store) and reports the
+// fingerprints of those slices for whatever its store lacks, so a fork
+// downloads nothing either.
 //
 // Memory is compact: the label array covers owned vertices plus the
 // subscribed boundary (not all of V), candidate/block-score scratch covers
@@ -84,8 +88,14 @@ Status RemapTargetsToSlots(const WorkerLayout& layout,
 /// Per-process knobs of a worker loop (both transports).
 struct WorkerLoopOptions {
   /// PersistentShardStore root; empty = in-memory only (every Assign
-  /// downloads all owned slices).
+  /// downloads the owned slices the inherited store cannot supply).
   std::string store_dir;
+  /// Forked children only: the coordinator's store, inherited across
+  /// fork() and shared copy-on-write. Owned slices the persistent store
+  /// lacks (or holds stale) are copied from it when their fingerprint
+  /// matches the Assign's, instead of downloaded. Null = none (dial-in
+  /// workers). Never written.
+  const ShardedGraphStore* inherited_store = nullptr;
   /// Capacity advertised in Hello; the coordinator sizes this worker's
   /// shard range proportionally. Must be >= 1.
   int64_t capacity = 1;

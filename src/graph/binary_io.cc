@@ -238,17 +238,30 @@ size_t EncodedShardSliceSize(const ShardedGraphStore::Shard& shard) {
          owned * sizeof(int64_t);  // weighted_degree
 }
 
+void ForEachShardSliceField(
+    const ShardedGraphStore::Shard& shard,
+    const std::function<void(std::span<const uint8_t>)>& field) {
+  const auto bytes = [](const auto* data, size_t count) {
+    return std::span<const uint8_t>(
+        reinterpret_cast<const uint8_t*>(data), count * sizeof(*data));
+  };
+  const int64_t header[3] = {static_cast<int64_t>(shard.begin),
+                             static_cast<int64_t>(shard.end),
+                             shard.NumArcs()};
+  field(bytes(kSliceMagic, sizeof(kSliceMagic)));
+  field(bytes(&kSliceVersion, 1));
+  field(bytes(header, 3));
+  field(bytes(shard.offsets.data(), shard.offsets.size()));
+  field(bytes(shard.targets.data(), shard.targets.size()));
+  field(bytes(shard.weights.data(), shard.weights.size()));
+  field(bytes(shard.weighted_degree.data(), shard.weighted_degree.size()));
+}
+
 void AppendShardSlice(const ShardedGraphStore::Shard& shard,
                       std::vector<uint8_t>* out) {
-  out->insert(out->end(), kSliceMagic, kSliceMagic + sizeof(kSliceMagic));
-  AppendRaw(out, kSliceVersion);
-  AppendRaw(out, static_cast<int64_t>(shard.begin));
-  AppendRaw(out, static_cast<int64_t>(shard.end));
-  AppendRaw(out, shard.NumArcs());
-  AppendArray(out, shard.offsets);
-  AppendArray(out, shard.targets);
-  AppendArray(out, shard.weights);
-  AppendArray(out, shard.weighted_degree);
+  ForEachShardSliceField(shard, [out](std::span<const uint8_t> field) {
+    AppendBytes(out, field.data(), field.size());
+  });
 }
 
 Result<ShardedGraphStore::Shard> DecodeShardSlice(

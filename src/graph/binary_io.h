@@ -7,6 +7,7 @@
 #define SPINNER_GRAPH_BINARY_IO_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -79,6 +80,15 @@ Result<SessionSnapshot> ReadSessionSnapshot(const std::string& path);
 /// Load counters are run state, not topology, and are not serialized.
 void AppendShardSlice(const ShardedGraphStore::Shard& shard,
                       std::vector<uint8_t>* out);
+
+/// Calls `field` once per field of `shard`'s slice encoding, in layout
+/// order: the concatenated spans are exactly the bytes AppendShardSlice
+/// appends (AppendShardSlice is this visitor with an appending callback).
+/// Lets a consumer fold the encoding — the slice resume fingerprint —
+/// without materializing a copy of the slice.
+void ForEachShardSliceField(
+    const ShardedGraphStore::Shard& shard,
+    const std::function<void(std::span<const uint8_t>)>& field);
 
 /// Exact byte size AppendShardSlice will append for `shard` — lets
 /// multi-slice encoders (the Setup slice download, which may stream

@@ -7,15 +7,22 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/threadpool.h"
 #include "dist/coordinator.h"
+#include "dist/registry.h"
+#include "dist/shard_store.h"
 #include "dist/transport.h"
 #include "dist/wire_format.h"
+#include "dist/worker.h"
 #include "graph/binary_io.h"
 #include "graph/conversion.h"
 #include "graph/generators.h"
@@ -171,6 +178,64 @@ TEST(WireFormatTest, ChecksumDetectsLabelDivergence) {
   EXPECT_EQ(dist::ChecksumLabels(a), dist::ChecksumLabels(b));
   b[3] = 0;
   EXPECT_NE(dist::ChecksumLabels(a), dist::ChecksumLabels(b));
+}
+
+TEST(WireFormatTest, WordFoldIgnoresHowTheInputIsSplit) {
+  std::vector<uint8_t> bytes(67);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const uint64_t whole = dist::ChecksumWords(bytes);
+  const std::span<const uint8_t> all(bytes);
+  for (size_t a = 0; a <= bytes.size(); ++a) {
+    for (size_t b = a; b <= bytes.size(); b += 5) {
+      dist::WordChecksum fold;
+      fold.Update(all.first(a))
+          .Update(all.subspan(a, b - a))
+          .Update(all.subspan(b));
+      EXPECT_EQ(fold.digest(), whole) << "split at " << a << ", " << b;
+    }
+  }
+  // Under one word, the fold is plain byte-wise FNV-1a; an empty input
+  // is the offset basis.
+  EXPECT_EQ(dist::ChecksumWords(all.first(7)),
+            dist::ChecksumBytes(all.first(7)));
+  EXPECT_EQ(dist::ChecksumWords({}), dist::kFnvOffsetBasis);
+  // digest() does not end the fold.
+  dist::WordChecksum fold;
+  fold.Update(all.first(13));
+  (void)fold.digest();
+  EXPECT_EQ(fold.Update(all.subspan(13)).digest(), whole);
+}
+
+TEST(WireFormatTest, LabelDigestChangesWhenAnyOwnedOrMirrorSlotFlips) {
+  // The DeltasAck layout: an owned range (odd length, so the mirror
+  // starts mid-word) followed by the mirror. The coordinator folds the
+  // two parts separately, the worker the whole array at once.
+  constexpr size_t kOwned = 13;
+  std::vector<PartitionId> labels(kOwned + 24);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<PartitionId>(i % 5);
+  }
+  const auto digest = [&](const std::vector<PartitionId>& state) {
+    const std::span<const PartitionId> all(state);
+    const uint64_t split = dist::LabelChecksum()
+                               .Update(all.first(kOwned))
+                               .Update(all.subspan(kOwned))
+                               .digest();
+    EXPECT_EQ(split, dist::ChecksumLabels(state));
+    return split;
+  };
+  const uint64_t base = digest(labels);
+  for (size_t slot = 0; slot < labels.size(); ++slot) {
+    for (const PartitionId flipped :
+         {labels[slot] + 1, labels[slot] ^ (PartitionId{1} << 30)}) {
+      std::vector<PartitionId> changed = labels;
+      changed[slot] = flipped;
+      EXPECT_NE(digest(changed), base)
+          << (slot < kOwned ? "owned" : "mirror") << " slot " << slot;
+    }
+  }
 }
 
 // --- Transport -----------------------------------------------------------
@@ -573,6 +638,335 @@ TEST(MultiProcessSubscriptionTest, LowCutLabelTrafficIsBoundaryBound) {
     step_total += bytes;
   }
   EXPECT_LE(step_total, wire.bytes_sent);
+}
+
+// --- Forked workers inherit their slices -----------------------------------
+
+/// Asserts a multiprocess run matched the in-process reference
+/// bit-for-bit: assignment and every float of the history.
+void ExpectSameRun(const ShardedRunResult& run,
+                   const ShardedRunResult& reference,
+                   const std::vector<PartitionId>& labels,
+                   const std::vector<PartitionId>& reference_labels) {
+  EXPECT_EQ(labels, reference_labels);
+  EXPECT_EQ(run.iterations, reference.iterations);
+  ASSERT_EQ(run.history.size(), reference.history.size());
+  for (size_t i = 0; i < run.history.size(); ++i) {
+    EXPECT_EQ(run.history[i].score, reference.history[i].score) << i;
+    EXPECT_EQ(run.history[i].phi, reference.history[i].phi) << i;
+    EXPECT_EQ(run.history[i].rho, reference.history[i].rho) << i;
+    EXPECT_EQ(run.history[i].loads, reference.history[i].loads) << i;
+  }
+}
+
+SpinnerConfig InheritConfig() {
+  SpinnerConfig config;
+  config.num_partitions = 5;
+  config.seed = 9;
+  config.max_iterations = 8;
+  config.use_halting = false;
+  return config;
+}
+
+TEST(MultiProcessInheritTest, ForkedWorkersDownloadNoSlicesAcrossShapes) {
+  const CsrGraph g = SmallWorldConverted(1300, 31);
+  const SpinnerConfig config = InheritConfig();
+  // {shards, workers}: one of each, even and odd splits, and more
+  // workers than shards (two workers own nothing).
+  for (const auto& [num_shards, num_workers] :
+       std::vector<std::pair<int, int>>{{1, 1}, {4, 2}, {7, 3}, {3, 5}}) {
+    std::vector<PartitionId> reference_labels;
+    auto reference = ReferenceRun(config, g, num_shards, &reference_labels);
+    ASSERT_TRUE(reference.ok());
+    auto store = ShardedGraphStore::Build(g, num_shards);
+    ASSERT_TRUE(store.ok());
+    MultiProcessOptions options;
+    options.num_workers = num_workers;
+    auto run = dist::RunMultiProcessSpinner(config, &*store, {}, options,
+                                            nullptr);
+    ASSERT_TRUE(run.ok()) << "S=" << num_shards << " W=" << num_workers
+                          << ": " << run.status();
+    ExpectSameRun(*run, *reference, store->labels(), reference_labels);
+    EXPECT_EQ(run->wire.slices_downloaded, 0)
+        << "S=" << num_shards << " W=" << num_workers;
+    EXPECT_EQ(run->wire.slice_bytes_downloaded, 0);
+    EXPECT_EQ(run->wire.slices_resumed, num_shards);
+  }
+}
+
+TEST(MultiProcessInheritTest, UserTransportWithoutAStoreStillDownloads) {
+  // A transport built without the run's store has nothing to hand its
+  // children: every slice crosses the wire, and the result is unchanged.
+  const CsrGraph g = SmallWorldConverted(900, 33);
+  const SpinnerConfig config = InheritConfig();
+  std::vector<PartitionId> reference_labels;
+  auto reference = ReferenceRun(config, g, 4, &reference_labels);
+  ASSERT_TRUE(reference.ok());
+  auto store = ShardedGraphStore::Build(g, 4);
+  ASSERT_TRUE(store.ok());
+  dist::UnixSocketTransport transport;
+  MultiProcessOptions options;
+  options.num_workers = 2;
+  options.worker_transport = &transport;
+  auto run =
+      dist::RunMultiProcessSpinner(config, &*store, {}, options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectSameRun(*run, *reference, store->labels(), reference_labels);
+  EXPECT_EQ(run->wire.slices_downloaded, 4);
+  EXPECT_GT(run->wire.slice_bytes_downloaded, 0);
+  EXPECT_EQ(run->wire.slices_resumed, 0);
+}
+
+TEST(MultiProcessInheritTest, StoreDirKeepsInheritedSlicesForTheNextRun) {
+  const CsrGraph g = SmallWorldConverted(900, 35);
+  const SpinnerConfig config = InheritConfig();
+  std::vector<PartitionId> reference_labels;
+  auto reference = ReferenceRun(config, g, 4, &reference_labels);
+  ASSERT_TRUE(reference.ok());
+  const std::string dir = testing::TempDir() + "/inherit_store";
+  std::filesystem::remove_all(dir);
+
+  // Run 1 forks with the store at hand: nothing is downloaded, and the
+  // children persist the inherited slices as they would downloads.
+  {
+    auto store = ShardedGraphStore::Build(g, 4);
+    ASSERT_TRUE(store.ok());
+    MultiProcessOptions options;
+    options.num_workers = 2;
+    options.worker_store_dir = dir;
+    auto run =
+        dist::RunMultiProcessSpinner(config, &*store, {}, options, nullptr);
+    ASSERT_TRUE(run.ok()) << run.status();
+    ExpectSameRun(*run, *reference, store->labels(), reference_labels);
+    EXPECT_EQ(run->wire.slices_downloaded, 0);
+    EXPECT_EQ(run->wire.slices_resumed, 4);
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_TRUE(std::filesystem::exists(
+          dist::PersistentShardStore(dir).BasePath(s)))
+          << "shard " << s;
+    }
+  }
+  // Run 2's children inherit nothing (the transport has no store), so a
+  // zero download can only come from the files run 1 left.
+  auto store = ShardedGraphStore::Build(g, 4);
+  ASSERT_TRUE(store.ok());
+  dist::UnixSocketTransport transport(dir);
+  MultiProcessOptions options;
+  options.num_workers = 2;
+  options.worker_transport = &transport;
+  auto run =
+      dist::RunMultiProcessSpinner(config, &*store, {}, options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectSameRun(*run, *reference, store->labels(), reference_labels);
+  EXPECT_EQ(run->wire.slices_downloaded, 0);
+  EXPECT_EQ(run->wire.slices_resumed, 4);
+  std::filesystem::remove_all(dir);
+}
+
+// --- One worker driven by hand ---------------------------------------------
+
+/// A ShardWorker on a thread, talking over a socketpair to the test, which
+/// plays the coordinator: the worker owns shard 0 of a 2-shard store and
+/// is walked through Assign/Setup/Init/Labels, so ApplyDeltas can be sent
+/// in any order.
+class HandDrivenWorker {
+ public:
+  HandDrivenWorker() : graph_(SmallWorldConverted(700, 41)) {
+    auto store = ShardedGraphStore::Build(graph_, 2);
+    SPINNER_CHECK(store.ok());
+    store_ = std::move(store).value();
+    auto pair = dist::CreateSocketPair();
+    SPINNER_CHECK(pair.ok());
+    fd_ = std::move(pair->first);
+    worker_fd_ = std::move(pair->second);
+    thread_ = std::thread([this] {
+      exit_code_ = dist::RunShardWorkerLoop(worker_fd_.fd(), options_);
+    });
+  }
+
+  ~HandDrivenWorker() { (void)exit_code(); }
+  HandDrivenWorker(const HandDrivenWorker&) = delete;
+  HandDrivenWorker& operator=(const HandDrivenWorker&) = delete;
+
+  /// Runs the handshake up to a seeded mirror.
+  void Start() {
+    ASSERT_TRUE(Recv(MessageType::kHello).ok());
+    dist::AssignMessage assign;
+    assign.num_partitions = kK;
+    assign.seed = 5;
+    assign.num_vertices = graph_.NumVertices();
+    assign.num_shards_total = 2;
+    assign.owned_shards = {0};
+    assign.slice_fingerprints = {dist::ShardSliceFingerprint(shard())};
+    ASSERT_TRUE(Send(MessageType::kAssign, assign.Encode()).ok());
+    ASSERT_TRUE(Recv(MessageType::kResume).ok());
+
+    dist::SetupMessage setup;
+    setup.num_partitions = kK;
+    setup.seed = 5;
+    setup.num_vertices = graph_.NumVertices();
+    setup.num_shards_total = 2;
+    setup.owned_shards = {0};
+    ASSERT_TRUE(
+        Send(MessageType::kSetup, dist::EncodeSetupFromStore(setup, store_))
+            .ok());
+    auto subscribe = Recv(MessageType::kSubscribe);
+    ASSERT_TRUE(subscribe.ok());
+    auto decoded = dist::SubscribeMessage::Decode(subscribe->payload);
+    ASSERT_TRUE(decoded.ok());
+    subscription_ = decoded->vertices;
+    ASSERT_GE(subscription_.size(), 8u);
+
+    dist::InitRequest init;
+    init.base = 0;
+    for (VertexId v = shard().begin; v < shard().end; ++v) {
+      init.initial_labels.push_back(static_cast<PartitionId>(v % kK));
+    }
+    ASSERT_TRUE(Send(MessageType::kInit, init.Encode()).ok());
+    auto init_reply = Recv(MessageType::kInitReply);
+    ASSERT_TRUE(init_reply.ok());
+    auto states = dist::ShardStateReply::Decode(init_reply->payload);
+    ASSERT_TRUE(states.ok());
+    ASSERT_EQ(states->shards.size(), 1u);
+    state_ = states->shards[0].labels;  // the owned part of the array
+
+    dist::LabelValues mirror;
+    for (const VertexId v : subscription_) {
+      mirror.values.push_back(static_cast<PartitionId>((v * 3) % kK));
+      state_.push_back(mirror.values.back());
+    }
+    ASSERT_TRUE(Send(MessageType::kLabels, mirror.Encode()).ok());
+  }
+
+  /// Sends one ApplyDeltas and returns the worker's DeltasAck digest (or
+  /// the Status of its Error frame).
+  Result<uint64_t> ApplyDeltas(const std::vector<LabelDelta>& moves) {
+    dist::ApplyDeltasMessage deltas;
+    deltas.moves = moves;
+    SPINNER_RETURN_IF_ERROR(Send(MessageType::kApplyDeltas, deltas.Encode()));
+    SPINNER_ASSIGN_OR_RETURN(Frame frame, Recv(MessageType::kDeltasAck));
+    SPINNER_ASSIGN_OR_RETURN(dist::DeltasAck ack,
+                             dist::DeltasAck::Decode(frame.payload));
+    return ack.labels_checksum;
+  }
+
+  /// Applies `moves` to the expected owned+mirror array and returns its
+  /// digest — what the coordinator's gate would demand.
+  uint64_t Expect(const std::vector<LabelDelta>& moves) {
+    const size_t owned = static_cast<size_t>(shard().NumOwnedVertices());
+    for (const LabelDelta& move : moves) {
+      const auto it = std::lower_bound(subscription_.begin(),
+                                       subscription_.end(), move.vertex);
+      state_[owned + static_cast<size_t>(it - subscription_.begin())] =
+          move.label;
+    }
+    return dist::ChecksumLabels(state_);
+  }
+
+  const std::vector<VertexId>& subscription() const { return subscription_; }
+  const ShardedGraphStore::Shard& shard() const { return store_.shard(0); }
+  /// Closes the connection and returns the worker loop's exit code (a
+  /// worker that already failed has returned 1 by then).
+  int exit_code() {
+    fd_.Close();
+    if (thread_.joinable()) thread_.join();
+    return exit_code_;
+  }
+
+  static constexpr int kK = 4;
+
+ private:
+  Status Send(MessageType type, std::span<const uint8_t> payload) {
+    return dist::SendMessage(fd_.fd(), static_cast<uint32_t>(type), payload,
+                             options_, next_id_++);
+  }
+
+  /// The next message, which must be `expected`; an Error frame becomes
+  /// the worker's Status.
+  Result<Frame> Recv(MessageType expected) {
+    SPINNER_ASSIGN_OR_RETURN(Frame frame, dist::RecvMessage(fd_.fd()));
+    if (frame.type == static_cast<uint32_t>(MessageType::kError)) {
+      SPINNER_ASSIGN_OR_RETURN(dist::ErrorMessage error,
+                               dist::ErrorMessage::Decode(frame.payload));
+      return error.ToStatus();
+    }
+    if (frame.type != static_cast<uint32_t>(expected)) {
+      return Status::Internal("unexpected frame type");
+    }
+    return frame;
+  }
+
+  CsrGraph graph_;
+  ShardedGraphStore store_;
+  dist::TransportOptions options_;
+  dist::UnixSocket fd_;
+  dist::UnixSocket worker_fd_;
+  int exit_code_ = -1;
+  std::thread thread_;  // runs the worker loop over worker_fd_
+  uint64_t next_id_ = 1;
+  std::vector<VertexId> subscription_;
+  std::vector<PartitionId> state_;
+};
+
+TEST(MultiProcessWorkerTest, DeltasInAnyOrderApplyTheSameLabels) {
+  HandDrivenWorker worker;
+  ASSERT_NO_FATAL_FAILURE(worker.Start());
+  const std::vector<VertexId>& sub = worker.subscription();
+
+  // Every other subscribed vertex moves, sent in descending order.
+  std::vector<LabelDelta> descending;
+  for (size_t i = 0; i < sub.size(); i += 2) {
+    const PartitionId label =
+        static_cast<PartitionId>((sub[i] + 1) % HandDrivenWorker::kK);
+    descending.push_back({sub[i], label});
+  }
+  std::reverse(descending.begin(), descending.end());
+  auto ack = worker.ApplyDeltas(descending);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(*ack, worker.Expect(descending));
+
+  // Ascending, with a repeated vertex (the later move wins) and a jump
+  // back to the front — the search falls back to the whole set.
+  const std::vector<LabelDelta> mixed = {
+      {sub[1], 2}, {sub[3], 3}, {sub[3], 1}, {sub[sub.size() - 1], 0},
+      {sub[0], 3}, {sub[2], 2}};
+  ack = worker.ApplyDeltas(mixed);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(*ack, worker.Expect(mixed));
+
+  // Nothing: the digest of the unchanged state.
+  ack = worker.ApplyDeltas({});
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(*ack, worker.Expect({}));
+}
+
+TEST(MultiProcessWorkerTest, UnsubscribedDeltaIsInvalidArgument) {
+  // Each case opens with a valid hit, so the bad vertex is searched from
+  // a hint: an owned vertex (before the hint), then a vertex in a gap of
+  // the subscription (after it).
+  for (const bool owned : {true, false}) {
+    HandDrivenWorker worker;
+    ASSERT_NO_FATAL_FAILURE(worker.Start());
+    const std::vector<VertexId>& sub = worker.subscription();
+    std::vector<LabelDelta> moves = {{sub[0], 1}};
+    if (owned) {
+      moves.push_back({worker.shard().begin + 1, 1});
+    } else {
+      size_t gap = 0;
+      while (gap + 1 < sub.size() && sub[gap + 1] == sub[gap] + 1) ++gap;
+      ASSERT_LT(gap + 1, sub.size()) << "no gap in the subscription";
+      moves.push_back({sub[gap], 2});
+      moves.push_back({sub[gap] + 1, 0});
+    }
+    auto ack = worker.ApplyDeltas(moves);
+    ASSERT_FALSE(ack.ok()) << "owned=" << owned;
+    EXPECT_EQ(ack.status().code(), StatusCode::kInvalidArgument)
+        << ack.status();
+    EXPECT_NE(ack.status().message().find("unsubscribed"),
+              std::string::npos)
+        << ack.status();
+    EXPECT_EQ(worker.exit_code(), 1);
+  }
 }
 
 }  // namespace

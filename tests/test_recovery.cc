@@ -178,6 +178,37 @@ TEST(RecoverySpinnerTest, CrashedWorkerIsReplacedAndRunIsBitIdentical) {
   }
 }
 
+TEST(RecoverySpinnerTest, ReplacementForkInheritsItsSlices) {
+  // The replacement is forked mid-run through the same transport, so it
+  // inherits the store too: neither the first fleet nor the rebuilt one
+  // downloads a slice, and the run stays bit-identical.
+  const CsrGraph g = SmallWorldConverted(800, 19);
+  const SpinnerConfig config = RecoveryConfig();
+  constexpr int kShards = 5;
+  std::vector<PartitionId> reference_labels;
+  auto reference = ReferenceRun(config, g, kShards, &reference_labels);
+  ASSERT_TRUE(reference.ok());
+
+  auto store = ShardedGraphStore::Build(g, kShards);
+  ASSERT_TRUE(store.ok());
+  MultiProcessOptions options;
+  options.num_workers = 3;
+  options.fail_after_score_steps = 2;
+  options.fail_worker = 1;
+  ArmRecovery(&options, /*attempts=*/2);
+  auto run =
+      dist::RunMultiProcessSpinner(config, &*store, {}, options, nullptr);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectBitIdentical(*run, *reference, store->labels(), reference_labels);
+  EXPECT_EQ(run->wire.recoveries, 1);
+  EXPECT_EQ(run->wire.workers_replaced, 1);
+  EXPECT_EQ(run->wire.slices_downloaded, 0);
+  EXPECT_EQ(run->wire.slice_bytes_downloaded, 0);
+  // Every shard resumed once per fleet assignment: the initial one and
+  // the rebuilt one.
+  EXPECT_EQ(run->wire.slices_resumed, 2 * kShards);
+}
+
 TEST(RecoverySpinnerTest, ExhaustedAttemptsSurfaceTheUnderlyingError) {
   const CsrGraph g = SmallWorldConverted(600, 5);
   const SpinnerConfig config = RecoveryConfig();

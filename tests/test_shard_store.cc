@@ -275,6 +275,62 @@ TEST(PersistentShardStoreTest, LogBoundToADifferentBaseIsRejectedWhole) {
   EXPECT_GT(replacement.corrupt_tails_ignored(), 0);
 }
 
+// --- Slice fingerprint -----------------------------------------------------
+
+/// A shard over [begin, end) with `arcs` arcs dealt round-robin to its
+/// vertices. Weights are u32, so an odd arc count leaves the weighted
+/// degrees off the 8-byte word grid of the encoding.
+ShardedGraphStore::Shard HandShard(VertexId begin, VertexId end,
+                                   int64_t arcs) {
+  ShardedGraphStore::Shard shard;
+  shard.begin = begin;
+  shard.end = end;
+  const int64_t owned = end - begin;
+  shard.offsets.assign(static_cast<size_t>(owned) + 1, 0);
+  for (int64_t i = 0; i < owned; ++i) {
+    shard.offsets[static_cast<size_t>(i) + 1] =
+        shard.offsets[static_cast<size_t>(i)] + arcs / owned +
+        (i < arcs % owned ? 1 : 0);
+  }
+  for (int64_t a = 0; a < arcs; ++a) {
+    shard.targets.push_back((a * 7919) % 100'003);
+    shard.weights.push_back(static_cast<EdgeWeight>(1 + a % 5));
+  }
+  for (int64_t i = 0; i < owned; ++i) {
+    shard.weighted_degree.push_back(1000 + i);
+  }
+  return shard;
+}
+
+TEST(ShardSliceFingerprintTest, InPlaceFoldEqualsFoldOfEncodedBytes) {
+  std::vector<ShardedGraphStore::Shard> shards = {
+      HandShard(0, 0, 0),      // empty shard: header and one offset only
+      HandShard(64, 64, 0),    // empty, elsewhere
+      HandShard(0, 1, 1),      // one arc: weights end mid-word
+      HandShard(128, 133, 3),  // odd arc count
+      HandShard(5, 12, 1001),  // odd and long
+      HandShard(0, 9, 64),     // even
+  };
+  const CsrGraph g = SmallWorldConverted(700);
+  auto store = ShardedGraphStore::Build(g, 3);
+  ASSERT_TRUE(store.ok());
+  for (int s = 0; s < store->num_shards(); ++s) {
+    shards.push_back(store->shard(s));
+  }
+  for (const ShardedGraphStore::Shard& shard : shards) {
+    const std::vector<uint8_t> bytes = SliceBytes(shard);
+    ASSERT_EQ(bytes.size(), graph_io::EncodedShardSliceSize(shard));
+    EXPECT_EQ(ShardSliceFingerprint(shard), ShardSliceFingerprint(bytes))
+        << "[" << shard.begin << "," << shard.end << ") with "
+        << shard.NumArcs() << " arcs";
+  }
+  // The fingerprint sees every field: one weight more changes it.
+  ShardedGraphStore::Shard heavier = HandShard(128, 133, 3);
+  heavier.weights[2] += 1;
+  EXPECT_NE(ShardSliceFingerprint(heavier),
+            ShardSliceFingerprint(HandShard(128, 133, 3)));
+}
+
 // --- Worker layout (the index remap) --------------------------------------
 
 TEST(WorkerLayoutTest, SlotsCoverOwnedPlusSubscribedNotAllOfV) {

@@ -192,6 +192,38 @@ TEST(TcpRegistryTest, VersionMismatchIsRejectedWithErrorFrame) {
   EXPECT_EQ(frame->type, static_cast<uint32_t>(MessageType::kError));
 }
 
+TEST(TcpRegistryTest, VersionOneHelloIsRefused) {
+  // A version-1 worker folds its DeltasAck digest and Resume fingerprints
+  // byte-wise; admitted, it would fail every iteration's gate. The
+  // registry turns it away at the handshake instead.
+  ASSERT_EQ(dist::kProtocolVersion, 2u);
+  RegistryOptions options;
+  options.handshake_timeout_ms = 300;
+  auto registry = WorkerRegistry::Listen(options);
+  ASSERT_TRUE(registry.ok()) << registry.status();
+  auto conn = dist::TcpDial((*registry)->address(), 2000);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  dist::HelloMessage hello;
+  hello.protocol_version = 1;
+  const dist::TransportOptions transport;
+  ASSERT_TRUE(dist::SendMessage(conn->fd(),
+                                static_cast<uint32_t>(MessageType::kHello),
+                                hello.Encode(), transport, 1)
+                  .ok());
+
+  auto acquired = (*registry)->Acquire(1, transport);
+  ASSERT_FALSE(acquired.ok());
+  EXPECT_EQ((*registry)->handshakes_rejected(), 1);
+  EXPECT_EQ((*registry)->handshakes_completed(), 0);
+  auto frame = dist::RecvMessage(conn->fd(), transport);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, static_cast<uint32_t>(MessageType::kError));
+  const std::string reason(frame->payload.begin(), frame->payload.end());
+  EXPECT_NE(reason.find("worker speaks 1, coordinator speaks 2"),
+            std::string::npos)
+      << reason;
+}
+
 TEST(TcpRegistryTest, DeadPooledConnectionsAreDroppedNotHandedOut) {
   RegistryOptions options;
   options.handshake_timeout_ms = 300;
